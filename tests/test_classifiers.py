@@ -1,5 +1,6 @@
 """Classifier training, prediction, tie-breaking, and persistence."""
 
+import json
 import math
 import random
 
@@ -33,6 +34,8 @@ from fformation.classifiers.base import (
     samples_to_arrays,
 )
 from fformation.core import AgentPose, Frame, PairSample
+from fformation.features import pairwise_deconstruct
+from fformation.synthetic import SynthConfig, generate_synthetic
 
 
 def make_samples(rows):
@@ -139,6 +142,117 @@ def test_knn_matches_oracle_under_heavy_distance_ties():
         for qi, q in enumerate(queries):
             want = oracle_knn_score(pts, labels, q, k)
             assert math.isclose(got[qi], want, rel_tol=1e-12, abs_tol=1e-12), (trial, qi)
+
+
+def brute_force_knn_scores(params, k, Xs):
+    """Scores from every training point: the selection and summation of
+    ``knn._row_score`` over full rows of squared distances."""
+    pts = params.points
+    n = pts.shape[0]
+    k = min(int(k), n)
+    Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
+    out = np.empty(Xs.shape[0], dtype=np.float64)
+    block = max(1, int(2e7) // n)
+    for start in range(0, Xs.shape[0], block):
+        q = Xs[start : start + block]
+        d2 = (q[:, 0:1] - pts[None, :, 0]) ** 2
+        d2 += (q[:, 1:2] - pts[None, :, 1]) ** 2
+        for i in range(q.shape[0]):
+            out[start + i] = knn_mod._row_score(d2[i], params.labels, k)
+    return out
+
+
+def assert_grid_matches_brute_force(pts, labels, queries, ks=(1, 3, 10)):
+    params = knn_mod.fit(pts, labels)
+    for k in ks:
+        got = knn_mod.scores(params, k, queries)
+        want = brute_force_knn_scores(params, k, queries)
+        assert np.array_equal(got, want, equal_nan=True), k
+
+
+def test_knn_grid_matches_brute_force_on_synthetic_corpus():
+    frames = generate_synthetic(SynthConfig(n_frames=1600, seed=7)).frames
+    samples = [s for f in frames for s in pairwise_deconstruct(f)]
+    assert len(samples) >= 50_000
+    model = train(samples, kind="knn", seed=0)
+    params = model.params
+    held_out = [
+        s for f in generate_synthetic(SynthConfig(n_frames=20, seed=8)).frames
+        for s in pairwise_deconstruct(f)
+    ]
+    evaluation = model.scaling.apply([[s.distance, s.effort_angle] for s in held_out])
+    rng = np.random.default_rng(0)
+    own = params.points[rng.choice(len(params.points), size=300, replace=False)]
+    queries = np.concatenate([evaluation, own])
+    for k in (1, 10, 25):
+        got = knn_mod.scores(params, k, queries)
+        assert np.array_equal(got, brute_force_knn_scores(params, k, queries)), k
+
+
+def test_knn_grid_matches_brute_force_far_outside_the_training_box():
+    rng = np.random.default_rng(21)
+    pts = rng.normal(size=(2000, 2))
+    labels = rng.integers(0, 2, size=2000).astype(np.uint8)
+    far = np.array([[40.0, 0.0], [-40.0, 0.3], [0.1, 300.0], [1e6, -1e6], [-25.0, 25.0], [1e150, 0.0]])
+    queries = np.concatenate([far, rng.normal(size=(50, 2)) * 30.0])
+    assert_grid_matches_brute_force(pts, labels, queries)
+
+
+def test_knn_grid_matches_brute_force_on_clusters_and_duplicates():
+    rng = np.random.default_rng(22)
+    centers = rng.uniform(-10, 10, size=(6, 2))
+    clustered = np.repeat(centers, 300, axis=0) + rng.normal(scale=1e-3, size=(1800, 2))
+    duplicates = np.repeat(rng.uniform(-10, 10, size=(20, 2)), 15, axis=0)
+    pts = np.concatenate([clustered, duplicates, centers])
+    labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
+    queries = np.concatenate([duplicates[::15], centers, centers + 1e-4, rng.uniform(-12, 12, size=(60, 2))])
+    assert_grid_matches_brute_force(pts, labels, queries, ks=(1, 10, 20, 40))
+
+
+def test_knn_grid_matches_brute_force_when_points_share_a_coordinate():
+    rng = np.random.default_rng(23)
+    line = rng.normal(size=500)
+    labels = rng.integers(0, 2, size=500).astype(np.uint8)
+    queries = rng.normal(size=(60, 2))
+    for pts in (
+        np.column_stack([line, np.full(500, 0.7)]),
+        np.column_stack([np.full(500, -1.5), line]),
+        np.full((500, 2), 2.0),
+    ):
+        assert_grid_matches_brute_force(pts, labels, np.concatenate([queries, pts[:5]]))
+
+
+def test_knn_grid_matches_brute_force_on_cell_edges():
+    rng = np.random.default_rng(24)
+    pts = rng.integers(-6, 7, size=(3000, 2)).astype(np.float64) * 0.5
+    labels = rng.integers(0, 2, size=3000).astype(np.uint8)
+    params = knn_mod.fit(pts, labels)
+    nx, ny = params.shape
+    edges_x = params.origin[0] + params.cell * np.arange(nx + 1)
+    edges_y = params.origin[1] + params.cell * np.arange(ny + 1)
+    queries = np.array([[x, y] for x in edges_x for y in edges_y[::2]])
+    assert_grid_matches_brute_force(pts, labels, queries, ks=(1, 10, 30))
+    # Training points on the edges too.
+    edge_pts = np.column_stack([rng.choice(edges_x, 1000), rng.choice(edges_y, 1000)])
+    assert_grid_matches_brute_force(edge_pts, labels[:1000], queries, ks=(1, 10))
+
+
+def test_knn_grid_counts_underflowing_distances_as_exact_matches():
+    # Differences of at most 2**-542 square to zero, so every point is an
+    # exact match; the label-0 point in the next cell must still win.
+    s = 2.0**-545
+    pts = s * np.array([[4, 0], [3, 1], [0, 8], [8, 0]] + [[8, 8]] * 12, dtype=np.float64)
+    labels = np.array([0] + [1] * 15, dtype=np.uint8)
+    query = [[3 * s, 0.0]]
+    assert knn_mod.scores(knn_mod.fit(pts, labels), 1, query)[0] == 0.0
+    assert_grid_matches_brute_force(pts, labels, query, ks=(1, 2, 16))
+
+
+def test_knn_grid_matches_brute_force_when_k_reaches_n():
+    rng = np.random.default_rng(25)
+    pts = rng.normal(size=(15, 2))
+    labels = rng.integers(0, 2, size=15).astype(np.uint8)
+    assert_grid_matches_brute_force(pts, labels, rng.normal(size=(20, 2)) * 3, ks=(14, 15, 16, 100))
 
 
 def test_knn_exact_match_dominates():
@@ -485,6 +599,65 @@ def test_load_model_rejects_malformed_documents(tmp_path):
     del missing["params"]
     with pytest.raises(ModelFormatError, match="malformed"):
         model_from_dict(missing)
+
+    def edited(doc, edit):
+        bad = json.loads(json.dumps(doc))
+        edit(bad)
+        return bad
+
+    def put(*keys_and_value):
+        *keys, last, value = keys_and_value
+
+        def edit(d):
+            for key in keys:
+                d = d[key]
+            d[last] = value
+
+        return edit
+
+    samples = separable_samples(40, seed=13)
+    knn_doc = model_to_dict(train(samples, kind="knn", seed=0))
+    trees_doc = model_to_dict(train(samples, kind="trees", hyperparams={"n_trees": 2}, seed=0))
+    tree = trees_doc["params"]["trees"][0]
+    internal = tree["feature"].index(0) if 0 in tree["feature"] else tree["feature"].index(1)
+    leaf = tree["feature"].index(-1)
+    n_nodes = len(tree["feature"])
+    bad_documents = [
+        # kNN training set and k
+        (knn_doc, put("params", "points", 3, [math.nan, 0.0])),
+        (knn_doc, put("params", "points", 0, [math.inf, 0.0])),
+        (knn_doc, put("params", "points", 0, [0.0, 1.0, 2.0])),
+        (knn_doc, put("params", "points", [])),
+        (knn_doc, put("params", "labels", 0, 7)),
+        (knn_doc, put("params", "labels", 0, -1)),
+        (knn_doc, put("params", "labels", 0, 0.5)),
+        (knn_doc, put("params", "labels", knn_doc["params"]["labels"][:-1])),
+        (knn_doc, put("hyperparams", "k", 0)),
+        (knn_doc, put("hyperparams", "k", 2.5)),
+        (knn_doc, put("hyperparams", "k", True)),
+        # scaling, for every kind
+        (doc, put("scaling", "std", [0.0, 1.0])),
+        (knn_doc, put("scaling", "std", [1.0, -2.0])),
+        (trees_doc, put("scaling", "mean", [math.nan, 0.0])),
+        (doc, put("scaling", "mean", [0.0, 0.0, 0.0])),
+        (doc, put("params", "coef", [0.0, math.nan, 1.0])),
+        # tree node arrays
+        (trees_doc, put("params", "trees", 0, "left", 0, 0)),
+        (trees_doc, put("params", "trees", 0, "left", internal, internal)),
+        (trees_doc, put("params", "trees", 0, "right", internal, n_nodes)),
+        (trees_doc, put("params", "trees", 0, "left", leaf, n_nodes - 1)),
+        (trees_doc, put("params", "trees", 0, "feature", leaf, 2)),
+        (trees_doc, put("params", "trees", 0, "value", tree["value"][:-1])),
+        (trees_doc, put("params", "trees", 0, "threshold", internal, math.inf)),
+        (trees_doc, put("params", "trees", 0, "value", leaf, 1.5)),
+        (trees_doc, put("params", "trees", 0, "value", leaf, math.nan)),
+        (trees_doc, put("params", "trees", [])),
+    ]
+    for good, edit in bad_documents:
+        with pytest.raises(ModelFormatError, match="malformed"):
+            model_from_dict(edited(good, edit))
+    for good in (doc, knn_doc, trees_doc):
+        model_from_dict(edited(good, lambda d: None))
 
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
