@@ -98,8 +98,7 @@ def train(
     return TrainedModel(kind=kind, scaling=scaling, seed=int(seed), hyperparams=hp, params=params)
 
 
-def _raw_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
-    Xs = model.scaling.apply(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+def _raw_scores(model: TrainedModel, Xs: np.ndarray) -> np.ndarray:
     if model.kind == "weighted_knn":
         return _knn.scores(model.params, model.hyperparams["k"], Xs)
     if model.kind == "bagged_trees":
@@ -108,11 +107,17 @@ def _raw_scores(model: TrainedModel, X: np.ndarray) -> np.ndarray:
 
 
 def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
-    """(labels, scores) for an (n, 2) array of [distance, effort_angle] rows."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if not np.isfinite(X).all():
-        raise ValueError("prediction inputs must be finite")
-    scores = _raw_scores(model, X)
+    """(labels, scores) for an (n, 2) array of [distance, effort_angle] rows.
+
+    Raises ValueError when the standardized inputs or the scores are not
+    finite: a finite input far beyond a tiny ``std`` can still overflow.
+    """
+    Xs = model.scaling.apply(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    if not np.isfinite(Xs).all():
+        raise ValueError("prediction inputs must be finite, also once standardized")
+    scores = _raw_scores(model, Xs)
+    if not np.isfinite(scores).all():
+        raise ValueError("prediction scores must be finite")
     labels = (scores >= DECISION_THRESHOLD).astype(np.uint8)
     return labels, scores
 
@@ -149,14 +154,11 @@ def build_relation_matrix(model: TrainedModel, frame: Frame) -> RelationMatrix:
     if n > 1:
         pose = {a.agent_id: a for a in frame.agents}
         rows = []
-        pairs = []
         for i in range(n):
             for j in range(i + 1, n):
                 a, b = pose[ids[i]], pose[ids[j]]
                 rows.append([_distance(a, b), _effort_angle(a, b)])
-                pairs.append((i, j))
         labels, _ = predict_batch(model, np.array(rows, dtype=np.float64))
-        for (i, j), lab in zip(pairs, labels):
-            m[i, j] = lab
-            m[j, i] = lab
+        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs above, in order
+        m[i, j] = m[j, i] = labels
     return RelationMatrix(ids=ids, m=m)

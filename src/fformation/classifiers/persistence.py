@@ -145,7 +145,6 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
             params: Any = _knn_params(raw, hyperparams)
         elif kind == "bagged_trees":
             params = ForestParams(trees=tuple(_tree(t) for t in raw["trees"]))
-            _check(params.trees, "a forest needs at least one tree")
         else:
             coef = _floats(raw["coef"], "logreg coef")
             _check(coef.shape == (3,), "logreg coef needs 3 values")

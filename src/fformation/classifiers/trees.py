@@ -7,13 +7,22 @@ distinct sorted values, and ties keep the first (lowest feature, lowest
 threshold) candidate. A node splits whenever it is impure, depth allows,
 and some candidate respects the minimum leaf size; zero-gain splits are
 allowed so consistent data can always be driven to pure leaves.
+
+Scoring walks every tree at once. ``ForestParams`` fuses the trees into
+one set of node arrays in which each leaf loops back to itself, so a
+(trees x rows) matrix of nodes takes the same number of steps, the
+forest's depth, and then rests on every row's leaf in every tree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+# Cells of the (trees x rows) node matrix scored at once: the matrix and
+# its temporaries stay near 1 MB whatever the batch size.
+_BLOCK_CELLS = 32768
 
 
 @dataclass(frozen=True)
@@ -29,7 +38,53 @@ class TreeArrays:
 
 @dataclass(frozen=True)
 class ForestParams:
+    """The trees, and one fused form of all of them built for scoring.
+
+    The fused arrays hold every tree's nodes end to end, tree t from node
+    ``roots[t]``. From ``node`` a row goes to ``child[2 * node + go_left]``.
+    A leaf is a self-loop: feature 0, threshold +inf and both children the
+    leaf itself, so after ``depth`` steps, the longest root-to-leaf path of
+    the forest, every row rests on its leaf. Children must follow their
+    node, as loaded documents are checked to ensure.
+    """
+
     trees: tuple[TreeArrays, ...]
+    roots: np.ndarray = field(init=False, repr=False)  # (n_trees,) root nodes
+    feature: np.ndarray = field(init=False, repr=False)  # (nodes,) 0 at leaves
+    threshold: np.ndarray = field(init=False, repr=False)  # (nodes,) +inf at leaves
+    child: np.ndarray = field(init=False, repr=False)  # (2 * nodes,) right, left
+    value: np.ndarray = field(init=False, repr=False)  # (nodes,)
+    depth: int = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.trees:
+            raise ValueError("a forest needs at least one tree")
+
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(t, name) for t in self.trees])
+
+        sizes = [t.feature.shape[0] for t in self.trees]
+        roots = np.cumsum([0] + sizes[:-1])
+        offset = np.repeat(roots, sizes)
+        feature = joined("feature")
+        leaf = feature < 0
+        node = np.arange(leaf.shape[0])
+        child = np.empty(2 * node.shape[0], dtype=np.intp)
+        child[0::2] = np.where(leaf, node, joined("right") + offset)
+        child[1::2] = np.where(leaf, node, joined("left") + offset)
+        # Children follow their node, so one pass in node order sees each
+        # node's level before its children's.
+        level = [0] * node.shape[0]
+        for n, (right, left) in enumerate(zip(child[0::2].tolist(), child[1::2].tolist())):
+            if left != n:
+                level[left] = level[right] = level[n] + 1
+        set_ = object.__setattr__
+        set_(self, "roots", roots)
+        set_(self, "feature", np.where(leaf, 0, feature).astype(np.intp))
+        set_(self, "threshold", np.where(leaf, np.inf, joined("threshold")))
+        set_(self, "child", child)
+        set_(self, "value", joined("value"))
+        set_(self, "depth", max(level))
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -134,22 +189,24 @@ def fit(
     return ForestParams(trees=tuple(trees))
 
 
-def _tree_scores(tree: TreeArrays, Xs: np.ndarray) -> np.ndarray:
-    node = np.zeros(Xs.shape[0], dtype=np.int32)
-    while True:
-        feat = tree.feature[node]
-        active = np.flatnonzero(feat >= 0)
-        if active.size == 0:
-            return tree.value[node]
-        cur = node[active]
-        go_left = Xs[active, feat[active]] <= tree.threshold[cur]
-        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
-
-
 def scores(params: ForestParams, Xs: np.ndarray) -> np.ndarray:
-    """Mean leaf positive-class fraction across the ensemble."""
+    """Mean leaf positive-class fraction across the ensemble.
+
+    Leaf values are summed in tree order, then divided by the tree count.
+    """
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
-    total = np.zeros(Xs.shape[0], dtype=np.float64)
-    for tree in params.trees:
-        total += _tree_scores(tree, Xs)
-    return total / len(params.trees)
+    n_trees = params.roots.shape[0]
+    block = max(1, _BLOCK_CELLS // n_trees)
+    out = np.empty(Xs.shape[0], dtype=np.float64)
+    for start in range(0, Xs.shape[0], block):
+        X = Xs[start : start + block]
+        rows = np.arange(X.shape[0])
+        node = np.repeat(params.roots[:, None], X.shape[0], axis=1)
+        for _ in range(params.depth):
+            go_left = X[rows, params.feature[node]] <= params.threshold[node]
+            node = params.child[2 * node + go_left]
+        total = np.zeros(X.shape[0], dtype=np.float64)
+        for leaf in params.value[node]:
+            total += leaf
+        out[start : start + block] = total / n_trees
+    return out

@@ -381,6 +381,147 @@ def test_trees_learn_separable_data():
     assert pairwise_accuracy(model, samples) >= 0.97
 
 
+def reference_forest_scores(params, Xs):
+    """Scores from walking each tree on its own, rows dropping out as they
+    reach a leaf; leaf values summed in tree order as ``trees.scores``
+    sums them."""
+    Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
+    total = np.zeros(Xs.shape[0], dtype=np.float64)
+    for tree in params.trees:
+        node = np.zeros(Xs.shape[0], dtype=np.int32)
+        while True:
+            feat = tree.feature[node]
+            active = np.flatnonzero(feat >= 0)
+            if active.size == 0:
+                break
+            cur = node[active]
+            go_left = Xs[active, feat[active]] <= tree.threshold[cur]
+            node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+        total += tree.value[node]
+    return total / len(params.trees)
+
+
+def assert_fused_matches_reference(params, queries):
+    got = trees_mod.scores(params, queries)
+    assert np.array_equal(got, reference_forest_scores(params, queries))
+
+
+def _tree(feature, threshold, left, right, value):
+    return trees_mod.TreeArrays(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=np.float64),
+    )
+
+
+def _pair_features(frames):
+    return np.array(
+        [[s.distance, s.effort_angle] for f in frames for s in pairwise_deconstruct(f)]
+    )
+
+
+def test_fused_forest_matches_reference_on_synthetic_corpus():
+    frames = generate_synthetic(SynthConfig(n_frames=2000, seed=7)).frames
+    samples = [s for f in frames for s in pairwise_deconstruct(f)]
+    assert len(samples) >= 60_000
+    model = train(samples, kind="trees", seed=0)
+    held_out = _pair_features(generate_synthetic(SynthConfig(n_frames=100, seed=8)).frames)
+    training = _pair_features(frames)
+    for X in (held_out, training):
+        assert_fused_matches_reference(model.params, model.scaling.apply(X))
+    # One row, and one block plus one row.
+    block = 32768 // len(model.params.trees)
+    assert_fused_matches_reference(model.params, model.scaling.apply(training[: block + 1]))
+    assert_fused_matches_reference(model.params, model.scaling.apply(training[:1]))
+
+
+def test_fused_forest_sends_queries_on_a_threshold_left():
+    stump = _tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, 1.0, 0.0])
+    params = trees_mod.ForestParams(trees=(stump,))
+    assert trees_mod.scores(params, [[0.5, 9.0], [np.nextafter(0.5, 1.0), 9.0]]).tolist() == [1.0, 0.0]
+
+    model = train(separable_samples(300, seed=14), kind="trees", seed=2)
+    rng = np.random.default_rng(14)
+    queries = []
+    for tree in model.params.trees:
+        for f, thr in zip(tree.feature.tolist(), tree.threshold.tolist()):
+            if f >= 0:
+                q = rng.normal(size=2)
+                q[f] = thr
+                queries.append(q)
+                queries.append([thr, thr])
+    assert_fused_matches_reference(model.params, np.array(queries))
+
+
+def test_fused_forest_matches_reference_far_outside_the_training_box():
+    model = train(separable_samples(300, seed=15), kind="trees", seed=1)
+    far = np.array(
+        [[1e6, -1e6], [-1e6, 1e6], [1e300, 1e300], [-1e300, -1e300], [0.0, 1e300], [-1e300, 0.0]]
+    )
+    queries = np.concatenate([far, np.random.default_rng(15).normal(size=(50, 2)) * 100.0])
+    assert_fused_matches_reference(model.params, queries)
+
+
+def test_fused_forest_matches_reference_on_hand_built_trees():
+    leaf_root = _tree([-1], [0.0], [-1], [-1], [0.25])
+    # Depth 3 down the right, a leaf at depth 1 on the left.
+    deep = _tree(
+        [1, -1, 0, -1, 1, -1, -1],
+        [0.0, 0.0, 1.0, 0.0, -2.0, 0.0, 0.0],
+        [1, -1, 3, -1, 5, -1, -1],
+        [2, -1, 4, -1, 6, -1, -1],
+        [0.5, 0.9, 0.3, 0.7, 0.1, 0.6, 0.0],
+    )
+    stump = _tree([0, -1, -1], [-0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, 1.0, 0.0])
+    grid = np.array([[x, y] for x in np.linspace(-3, 3, 13) for y in np.linspace(-3, 3, 13)])
+    forests = [
+        ((leaf_root,), 0),
+        ((leaf_root, stump), 1),
+        ((leaf_root, deep), 3),
+        ((deep, leaf_root, stump), 3),
+        ((stump, deep, deep), 3),
+    ]
+    for trees, depth in forests:
+        params = trees_mod.ForestParams(trees=trees)
+        assert params.depth == depth
+        assert_fused_matches_reference(params, grid)
+    assert trees_mod.scores(trees_mod.ForestParams(trees=(leaf_root,)), grid).tolist() == [0.25] * len(grid)
+    # Values whose sum depends on the order of the additions, one row at a
+    # time as well as in a batch.
+    values = np.random.default_rng(18).random(30)
+    params = trees_mod.ForestParams(trees=tuple(_tree([-1], [0.0], [-1], [-1], [v]) for v in values))
+    for rows in (grid[:1], grid[1:2], grid[:5]):
+        assert_fused_matches_reference(params, rows)
+    with pytest.raises(ValueError, match="at least one tree"):
+        trees_mod.ForestParams(trees=())
+
+
+def test_fused_forest_matches_reference_without_a_depth_limit():
+    rng = random.Random(16)
+    rows = [(rng.uniform(0, 5), rng.uniform(0, 6), rng.randint(0, 1)) for _ in range(1500)]
+    model = train(
+        make_samples(rows),
+        kind="trees",
+        hyperparams={"n_trees": 7, "max_depth": None, "min_leaf": 1},
+        seed=4,
+    )
+    assert model.params.depth > 12
+    queries = np.random.default_rng(16).normal(size=(3000, 2)) * 2.0
+    assert_fused_matches_reference(model.params, queries)
+    assert_fused_matches_reference(model.params, model.scaling.apply([r[:2] for r in rows]))
+
+
+def test_fused_forest_survives_the_model_document():
+    model = train(separable_samples(300, seed=17), kind="trees", seed=6)
+    clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
+    queries = np.random.default_rng(17).normal(size=(2000, 2)) * 2.0
+    assert_fused_matches_reference(clone.params, queries)
+    assert np.array_equal(trees_mod.scores(clone.params, queries), trees_mod.scores(model.params, queries))
+    assert clone.params.depth == model.params.depth
+
+
 # ---------------------------------------------------------------- logreg
 
 def test_logreg_gradient_matches_central_differences():
@@ -442,6 +583,25 @@ def test_predict_rejects_non_finite_input():
         predict(model, math.inf, 0.0)
     with pytest.raises(ValueError, match="finite"):
         predict(model, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_predict_rejects_inputs_that_overflow_the_scaling(kind):
+    doc = model_to_dict(train(separable_samples(40, seed=8), kind=kind, seed=0))
+    doc["scaling"]["std"] = [1e-300, 1.0]
+    model = model_from_dict(doc)
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="finite, also once standardized"):
+            predict(model, 1e10, 1.0)
+    assert predict(model, float(doc["scaling"]["mean"][0]), 1.0)[1] >= 0.0
+
+
+def test_predict_rejects_non_finite_scores():
+    # Squared distances to a query this far overflow, and every vote weighs 0.
+    model = train(separable_samples(40, seed=8), kind="knn", seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            predict(model, 1e200, 1.0)
 
 
 def test_train_rejects_degenerate_labels():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from fformation.cli import main
@@ -203,6 +204,18 @@ def test_error_paths_return_nonzero(tmp_path, corpus, capsys):
     rc = main(["evaluate", "--detections", str(corpus), "--truth", str(corpus), "--tolerance", "0"])
     assert rc == 1
     assert "tolerance" in capsys.readouterr().err
+
+    # a model that loads but whose standardization overflows on real inputs
+    model = tmp_path / "tiny-std.json"
+    assert main(["train", "--data", str(corpus), "--kind", "trees", "--out", str(model)]) == 0
+    doc = json.loads(model.read_text(encoding="utf-8"))
+    doc["scaling"]["std"] = [5e-324, 1.0]
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    with np.errstate(over="ignore"):
+        rc = main(["detect", "--model", str(model), "--data", str(corpus), "--out", str(tmp_path / "d.json")])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
 
 
 def test_evaluate_mismatched_frames_fails(tmp_path, corpus, capsys):
