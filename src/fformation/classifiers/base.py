@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -37,12 +38,47 @@ def canonical_kind(kind: str) -> str:
     return kind
 
 
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+_AT_LEAST_ONE = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
+_NON_NEGATIVE = (lambda v: _finite(v) and v >= 0, "a finite number >= 0")
+
+# The values each hyperparameter accepts, as (test, description); the
+# names are unique across kinds.
+_HYPERPARAM_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "k": _AT_LEAST_ONE,
+    "n_trees": _AT_LEAST_ONE,
+    "max_depth": (lambda v: v is None or (_integer(v) and v >= 1), "None or an integer >= 1"),
+    "min_leaf": _AT_LEAST_ONE,
+    "l2": _NON_NEGATIVE,
+    "learning_rate": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
+    "epochs": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+    "tol": _NON_NEGATIVE,
+}
+
+
 def resolve_hyperparams(kind: str, overrides: Optional[dict[str, Any]]) -> dict[str, Any]:
+    """The kind's defaults updated by ``overrides``.
+
+    Raises ValueError for a name the kind does not have, and TrainingError
+    for a value outside the range the name accepts.
+    """
     params = dict(DEFAULT_HYPERPARAMS[kind])
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"unknown hyperparameter {key!r} for kind {kind!r}")
         params[key] = value
+    for key, value in params.items():
+        if key in _HYPERPARAM_RULES:
+            test, accepted = _HYPERPARAM_RULES[key]
+            if not test(value):
+                raise TrainingError(f"hyperparameter {key} must be {accepted}, got {value!r}")
     return params
 
 
@@ -81,20 +117,28 @@ def samples_to_arrays(samples: Sequence[PairSample]) -> tuple[np.ndarray, np.nda
     Samples are sorted by (distance, effort_angle, label, ids) so that
     training is deterministic regardless of caller ordering. Raises
     TrainingError for unlabeled samples, fewer than 2 samples,
-    single-class label sets, or zero-variance features.
+    single-class label sets, zero-variance features, or labels other
+    than 0 and 1.
     """
     if any(s.label is None for s in samples):
         raise TrainingError("training requires labeled samples")
-    ordered = sorted(samples, key=lambda s: (s.distance, s.effort_angle, s.label, s.id_a, s.id_b))
-    if len(ordered) < 2:
-        raise TrainingError(f"need at least 2 labeled samples, got {len(ordered)}")
-    X = np.array([[s.distance, s.effort_angle] for s in ordered], dtype=np.float64)
-    y = np.array([s.label for s in ordered], dtype=np.uint8)
+    if len(samples) < 2:
+        raise TrainingError(f"need at least 2 labeled samples, got {len(samples)}")
+    distance = np.array([s.distance for s in samples], dtype=np.float64)
+    effort_angle = np.array([s.effort_angle for s in samples], dtype=np.float64)
+    labels = np.array([s.label for s in samples])
+    id_a = np.array([s.id_a for s in samples])
+    id_b = np.array([s.id_b for s in samples])
+    # lexsort is stable and takes its last key as the primary one.
+    order = np.lexsort((id_b, id_a, labels, effort_angle, distance))
+    X = np.column_stack((distance, effort_angle))[order]
     if not np.isfinite(X).all():
         raise TrainingError("non-finite feature values in training samples")
-    if len(np.unique(y)) < 2:
+    if len(np.unique(labels)) < 2:
         raise TrainingError("degenerate labels: training set contains a single class")
-    return X, y
+    if not np.isin(labels, (0, 1)).all():
+        raise TrainingError("labels must be 0 or 1")
+    return X, labels[order].astype(np.uint8)
 
 
 def fit_scaling(X: np.ndarray) -> FeatureScaling:

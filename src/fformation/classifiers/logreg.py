@@ -22,12 +22,9 @@ class LogisticParams:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """1 / (1 + exp(-z)), from exp(-|z|) so that exp never overflows."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _logits(coef: np.ndarray, Xs: np.ndarray) -> np.ndarray:
@@ -44,7 +41,7 @@ def loss(coef: np.ndarray, Xs: np.ndarray, y: np.ndarray, l2: float) -> float:
 
 def gradient(coef: np.ndarray, Xs: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
     z = _logits(coef, Xs)
-    resid = _sigmoid(z) - y.astype(np.float64)
+    resid = _sigmoid(z) - np.asarray(y, dtype=np.float64)
     n = Xs.shape[0]
     g = np.empty(3, dtype=np.float64)
     g[0] = resid.mean()
@@ -61,6 +58,7 @@ def fit(
     tol: float,
 ) -> LogisticParams:
     coef = np.zeros(3, dtype=np.float64)
+    y = y.astype(np.float64)
     for _ in range(int(epochs)):
         g = gradient(coef, Xs, y, l2)
         if float(np.linalg.norm(g)) < tol:

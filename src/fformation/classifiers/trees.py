@@ -1,7 +1,11 @@
 """Bagged CART trees with Gini-impurity splits, stored as flat node arrays.
 
 Each tree is grown on a bootstrap resample (same size as the training
-set) with axis-aligned splits. Splitting is deterministic: features are
+set) with axis-aligned splits. The resample is kept as counts: a drawn
+row enters once, weighted by how often it was drawn, and gives the tree
+its copies would give. Each feature is sorted once per fit; a split
+partitions the sorted rows stably (as SLIQ does), so no node sorts.
+Splitting is deterministic: features are
 scanned in order, candidate thresholds are midpoints between consecutive
 distinct sorted values, and ties keep the first (lowest feature, lowest
 threshold) candidate. A node splits whenever it is impure, depth allows,
@@ -87,76 +91,97 @@ class ForestParams:
         set_(self, "depth", max(level))
 
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Lowest weighted-Gini split, or None when no candidate is valid."""
-    n = y.shape[0]
-    best_score = np.inf
-    best = None
-    sizes_l = np.arange(1, n, dtype=np.float64)
+def _best_split(
+    cols: np.ndarray, counts: np.ndarray, pos: np.ndarray, order: np.ndarray, min_leaf: int
+):
+    """Lowest weighted-Gini split of a node, or None when no candidate is valid.
+
+    ``order[f]`` holds the node's rows sorted by feature f; row r stands
+    for ``counts[r]`` copies of itself, ``pos[r]`` of them positive. Only
+    boundaries between distinct values are candidates, and there the
+    cumulative counts equal those of the copies laid out one by one, so
+    every score, and the first minimum, is what the copies would give.
+    Returns (feature, threshold, rows on the left of ``order[feature]``).
+    """
+    xs = np.take_along_axis(cols, order, axis=1)
+    sizes_l = np.cumsum(counts[order], axis=1)
+    pos_l = np.cumsum(pos[order], axis=1)
+    n = int(sizes_l[0, -1])
+    total_pos = float(pos_l[0, -1])
+    sizes_l = sizes_l[:, :-1].astype(np.float64)
+    pos_l = pos_l[:, :-1].astype(np.float64)
     sizes_r = n - sizes_l
-    for f in range(X.shape[1]):
-        xs = X[:, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        pos_l = np.cumsum(y[order]).astype(np.float64)[:-1]
-        total_pos = float(y.sum())
-        valid = (xs_sorted[1:] > xs_sorted[:-1]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
-        if not valid.any():
-            continue
-        pos_r = total_pos - pos_l
-        gini_l = 1.0 - (pos_l / sizes_l) ** 2 - ((sizes_l - pos_l) / sizes_l) ** 2
-        gini_r = 1.0 - (pos_r / sizes_r) ** 2 - ((sizes_r - pos_r) / sizes_r) ** 2
-        score = (sizes_l * gini_l + sizes_r * gini_r) / n
-        score[~valid] = np.inf
-        i = int(np.argmin(score))
-        if score[i] < best_score:
-            threshold = 0.5 * (xs_sorted[i] + xs_sorted[i + 1])
-            left_mask = xs <= threshold
-            # Midpoint can round onto the upper value; fall back to the
-            # exact lower value so the partition matches the scan.
-            if left_mask.sum() != i + 1:
-                threshold = xs_sorted[i]
-                left_mask = xs <= threshold
-            best_score = float(score[i])
-            best = (f, float(threshold), left_mask)
-    return best
+    valid = (xs[:, 1:] > xs[:, :-1]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
+    if not valid.any():
+        return None
+    pos_r = total_pos - pos_l
+    gini_l = 1.0 - (pos_l / sizes_l) ** 2 - ((sizes_l - pos_l) / sizes_l) ** 2
+    gini_r = 1.0 - (pos_r / sizes_r) ** 2 - ((sizes_r - pos_r) / sizes_r) ** 2
+    score = (sizes_l * gini_l + sizes_r * gini_r) / n
+    score[~valid] = np.inf
+    # Row-major argmin: the lowest feature, then the lowest threshold.
+    f, i = divmod(int(np.argmin(score)), score.shape[1])
+    lower, upper = float(xs[f, i]), float(xs[f, i + 1])
+    threshold = 0.5 * (lower + upper)
+    # The midpoint can round onto the upper value; fall back to the exact
+    # lower value so the partition matches the scan.
+    if not lower <= threshold < upper:
+        threshold = lower
+    return f, threshold, i + 1
 
 
-def _grow(X: np.ndarray, y: np.ndarray, max_depth, min_leaf: int) -> TreeArrays:
+def _grow(
+    cols: np.ndarray, y: np.ndarray, counts: np.ndarray, order: np.ndarray, max_depth, min_leaf: int
+) -> TreeArrays:
+    """One tree grown on the rows with ``counts > 0``, row r counted ``counts[r]`` times.
+
+    ``cols`` is (features, rows); ``order[f]`` lists every row sorted by
+    feature f, stably. Each node owns one slice of the rows kept in every
+    order; a split partitions that slice stably, so the children's slices
+    stay sorted and no node sorts.
+    """
+    pos = counts * y
+    order = order[counts[order] > 0].reshape(order.shape[0], -1)
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
     right: list[int] = []
     value: list[float] = []
 
-    def new_node(val: float) -> int:
+    def new_node(n_pos: int, n: int) -> int:
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
-        value.append(val)
+        value.append(n_pos / n)
         return len(feature) - 1
 
-    root = new_node(float(y.mean()))
-    stack = [(root, np.arange(y.shape[0]), 0)]
+    root_n, root_pos = int(counts.sum()), int(pos.sum())
+    stack = [(new_node(root_pos, root_n), 0, order.shape[1], root_n, root_pos, 0)]
     while stack:
-        node, idx, depth = stack.pop()
-        ys = y[idx]
-        pure = bool((ys == ys[0]).all())
-        if pure or (max_depth is not None and depth >= max_depth) or idx.shape[0] < 2 * min_leaf:
+        node, start, stop, n, n_pos, depth = stack.pop()
+        pure = n_pos == 0 or n_pos == n
+        if pure or (max_depth is not None and depth >= max_depth) or n < 2 * min_leaf:
             continue
-        split = _best_split(X[idx], ys, min_leaf)
+        rows = order[:, start:stop]
+        split = _best_split(cols, counts, pos, rows, min_leaf)
         if split is None:
             continue
-        f, thr, left_mask = split
-        idx_l = idx[left_mask]
-        idx_r = idx[~left_mask]
+        f, thr, n_rows_l = split
+        rows_l = rows[f, :n_rows_l]
+        n_l, n_pos_l = int(counts[rows_l].sum()), int(pos[rows_l].sum())
+        mask = cols[f][rows] <= thr
+        mid = start + n_rows_l
+        # Boolean indexing copies, so both halves are read before either is written.
+        parts = rows[mask], rows[~mask]
+        order[:, start:mid] = parts[0].reshape(-1, n_rows_l)
+        order[:, mid:stop] = parts[1].reshape(-1, stop - mid)
         feature[node] = f
         threshold[node] = thr
-        left[node] = new_node(float(y[idx_l].mean()))
-        right[node] = new_node(float(y[idx_r].mean()))
-        stack.append((left[node], idx_l, depth + 1))
-        stack.append((right[node], idx_r, depth + 1))
+        left[node] = new_node(n_pos_l, n_l)
+        right[node] = new_node(n_pos - n_pos_l, n - n_l)
+        stack.append((left[node], start, mid, n_l, n_pos_l, depth + 1))
+        stack.append((right[node], mid, stop, n - n_l, n_pos - n_pos_l, depth + 1))
 
     return TreeArrays(
         feature=np.array(feature, dtype=np.int32),
@@ -177,15 +202,17 @@ def fit(
     bootstrap: bool,
 ) -> ForestParams:
     n = y.shape[0]
+    cols = np.ascontiguousarray(np.asarray(Xs, dtype=np.float64).T)
+    order = np.argsort(cols, axis=1, kind="stable")
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
     for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
         if bootstrap:
-            idx = np.sort(rng.integers(0, n, size=n))
+            counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
         else:
-            idx = np.arange(n)
-        trees.append(_grow(Xs[idx], y[idx], max_depth, min_leaf))
+            counts = np.ones(n, dtype=np.int64)
+        trees.append(_grow(cols, y, counts, order, max_depth, min_leaf))
     return ForestParams(trees=tuple(trees))
 
 

@@ -78,6 +78,83 @@ def test_samples_to_arrays_rejections():
         samples_to_arrays(make_samples([(math.nan, 1.0, 1), (2.0, 2.0, 0)]))
 
 
+def reference_samples_to_arrays(samples):
+    """The (X, y) of sorting the sample objects themselves."""
+    ordered = sorted(samples, key=lambda s: (s.distance, s.effort_angle, s.label, s.id_a, s.id_b))
+    X = np.array([[s.distance, s.effort_angle] for s in ordered], dtype=np.float64)
+    y = np.array([s.label for s in ordered], dtype=np.uint8)
+    return X, y
+
+
+def test_samples_to_arrays_orders_as_sorted_samples_under_ties():
+    rng = random.Random(21)
+    samples = [
+        PairSample(
+            id_a=rng.randrange(5),
+            id_b=rng.randrange(5, 10),
+            distance=rng.choice([0.5, 1.0, 1.0 + 2**-52, 2.0]),
+            effort_angle=rng.choice([0.0, 0.25, 3.0]),
+            label=rng.choice([0, 1, True, False]),
+        )
+        for _ in range(400)
+    ]
+    for _ in range(3):
+        X, y = samples_to_arrays(samples)
+        want_X, want_y = reference_samples_to_arrays(samples)
+        assert np.array_equal(X, want_X)
+        assert np.array_equal(y, want_y)
+        assert y.dtype == np.uint8
+        rng.shuffle(samples)
+    corpus = [s for f in generate_synthetic(SynthConfig(n_frames=200, seed=22)).frames
+              for s in pairwise_deconstruct(f)]
+    for got, want in zip(samples_to_arrays(corpus), reference_samples_to_arrays(corpus)):
+        assert np.array_equal(got, want)
+
+
+def test_samples_to_arrays_rejects_labels_other_than_0_and_1():
+    with pytest.raises(TrainingError, match="0 or 1"):
+        samples_to_arrays(make_samples([(1.0, 1.0, 1), (2.0, 2.0, 0), (3.0, 2.0, 2)]))
+    with pytest.raises(TrainingError, match="0 or 1"):
+        samples_to_arrays(make_samples([(1.0, 1.0, 1), (2.0, 2.0, 0.5)]))
+
+
+@pytest.mark.parametrize(
+    "kind, hyperparams",
+    [
+        ("knn", {"k": 0}),
+        ("knn", {"k": -3}),
+        ("knn", {"k": 2.5}),
+        ("knn", {"k": True}),
+        ("trees", {"n_trees": 0}),
+        ("trees", {"min_leaf": 0}),
+        ("trees", {"max_depth": 0}),
+        ("trees", {"max_depth": -1}),
+        ("logreg", {"learning_rate": math.nan}),
+        ("logreg", {"learning_rate": math.inf}),
+        ("logreg", {"learning_rate": 0.0}),
+        ("logreg", {"learning_rate": -0.1}),
+        ("logreg", {"l2": -1e-4}),
+        ("logreg", {"l2": math.inf}),
+        ("logreg", {"tol": -1e-8}),
+        ("logreg", {"tol": math.nan}),
+        ("logreg", {"epochs": -1}),
+    ],
+)
+def test_train_rejects_out_of_range_hyperparameters(kind, hyperparams):
+    (name,) = hyperparams
+    with pytest.raises(TrainingError, match=f"hyperparameter {name} must be"):
+        train(separable_samples(40, seed=23), kind=kind, hyperparams=hyperparams)
+
+
+def test_train_accepts_hyperparameters_on_the_edge_of_their_range():
+    samples = separable_samples(40, seed=23)
+    train(samples, kind="knn", hyperparams={"k": 1})
+    train(samples, kind="trees", hyperparams={"n_trees": 1, "max_depth": None, "min_leaf": 1})
+    train(samples, kind="trees", hyperparams={"max_depth": 1})
+    model = train(samples, kind="logreg", hyperparams={"l2": 0, "tol": 0.0, "epochs": 0})
+    assert np.array_equal(model.params.coef, np.zeros(3))
+
+
 def test_fit_scaling_rejects_zero_variance():
     with pytest.raises(TrainingError, match="degenerate feature: distance"):
         fit_scaling(np.array([[1.0, 0.5], [1.0, 2.5]]))
@@ -297,6 +374,111 @@ def oracle_best_split_score(X, y, min_leaf):
     return best
 
 
+def reference_best_split(X, y, min_leaf):
+    """Lowest weighted-Gini split of rows laid out one by one: each feature
+    argsorted at the node, the first minimum kept."""
+    n = y.shape[0]
+    best_score = np.inf
+    best = None
+    sizes_l = np.arange(1, n, dtype=np.float64)
+    sizes_r = n - sizes_l
+    for f in range(X.shape[1]):
+        xs = X[:, f]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        pos_l = np.cumsum(y[order]).astype(np.float64)[:-1]
+        total_pos = float(y.sum())
+        valid = (xs_sorted[1:] > xs_sorted[:-1]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
+        if not valid.any():
+            continue
+        pos_r = total_pos - pos_l
+        gini_l = 1.0 - (pos_l / sizes_l) ** 2 - ((sizes_l - pos_l) / sizes_l) ** 2
+        gini_r = 1.0 - (pos_r / sizes_r) ** 2 - ((sizes_r - pos_r) / sizes_r) ** 2
+        score = (sizes_l * gini_l + sizes_r * gini_r) / n
+        score[~valid] = np.inf
+        i = int(np.argmin(score))
+        if score[i] < best_score:
+            threshold = 0.5 * (xs_sorted[i] + xs_sorted[i + 1])
+            left_mask = xs <= threshold
+            if left_mask.sum() != i + 1:
+                threshold = xs_sorted[i]
+                left_mask = xs <= threshold
+            best_score = float(score[i])
+            best = (f, float(threshold), left_mask)
+    return best
+
+
+def reference_grow(X, y, max_depth, min_leaf):
+    """A tree grown depth first on rows laid out one by one, the right
+    child popped first, node values as ``y[idx].mean()``."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def new_node(val):
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(val)
+        return len(feature) - 1
+
+    root = new_node(float(y.mean()))
+    stack = [(root, np.arange(y.shape[0]), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        ys = y[idx]
+        pure = bool((ys == ys[0]).all())
+        if pure or (max_depth is not None and depth >= max_depth) or idx.shape[0] < 2 * min_leaf:
+            continue
+        split = reference_best_split(X[idx], ys, min_leaf)
+        if split is None:
+            continue
+        f, thr, left_mask = split
+        idx_l = idx[left_mask]
+        idx_r = idx[~left_mask]
+        feature[node] = f
+        threshold[node] = thr
+        left[node] = new_node(float(y[idx_l].mean()))
+        right[node] = new_node(float(y[idx_r].mean()))
+        stack.append((left[node], idx_l, depth + 1))
+        stack.append((right[node], idx_r, depth + 1))
+    return _tree(feature, threshold, left, right, value)
+
+
+def reference_fit(Xs, y, seed, n_trees, max_depth, min_leaf, bootstrap):
+    """Bagged trees grown on the drawn rows themselves, duplicates included."""
+    n = y.shape[0]
+    trees = []
+    for tree_seed in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(tree_seed)
+        idx = np.sort(rng.integers(0, n, size=n)) if bootstrap else np.arange(n)
+        trees.append(reference_grow(Xs[idx], y[idx], max_depth, min_leaf))
+    return trees
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "value")
+
+
+def assert_fit_matches_reference(Xs, y, **hyperparams):
+    hyperparams = {
+        "seed": 0, "n_trees": 3, "max_depth": 12, "min_leaf": 5, "bootstrap": True, **hyperparams
+    }
+    got = trees_mod.fit(Xs, y, **hyperparams).trees
+    want = reference_fit(Xs, y, **hyperparams)
+    assert len(got) == len(want)
+    for t, (g, w) in enumerate(zip(got, want)):
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(g, name), getattr(w, name)), (t, name)
+            assert getattr(g, name).dtype == getattr(w, name).dtype, (t, name)
+    return got
+
+
+def _split(X, y, counts, min_leaf):
+    """trees._best_split on the rows of X, row r counted counts[r] times."""
+    cols = np.ascontiguousarray(X.T)
+    order = np.argsort(cols, axis=1, kind="stable")
+    return trees_mod._best_split(cols, counts, counts * y, order, min_leaf), order
+
+
 def test_best_split_achieves_oracle_minimum():
     rng = np.random.default_rng(7)
     for trial in range(60):
@@ -304,12 +486,13 @@ def test_best_split_achieves_oracle_minimum():
         X = rng.normal(size=(n, 2)).round(1)
         y = rng.integers(0, 2, size=n).astype(np.uint8)
         min_leaf = int(rng.integers(1, 4))
-        got = trees_mod._best_split(X, y, min_leaf)
+        got, order = _split(X, y, np.ones(n, dtype=np.int64), min_leaf)
         want = oracle_best_split_score(X, y, min_leaf)
         if got is None:
             assert want == math.inf, trial
             continue
-        f, thr, left_mask = got
+        f, thr, n_left = got
+        left_mask = X[:, f] <= thr
         nl, nr = int(left_mask.sum()), int(n - left_mask.sum())
         assert nl >= min_leaf and nr >= min_leaf
 
@@ -319,7 +502,26 @@ def test_best_split_achieves_oracle_minimum():
 
         score = (nl * gini(left_mask) + nr * gini(~left_mask)) / n
         assert math.isclose(score, want, rel_tol=1e-9, abs_tol=1e-12), trial
-        assert np.array_equal(left_mask, X[:, f] <= thr)
+        assert np.array_equal(np.sort(order[f, :n_left]), np.flatnonzero(left_mask))
+
+
+def test_best_split_counts_each_row_as_its_copies():
+    rng = np.random.default_rng(24)
+    for trial in range(60):
+        n = int(rng.integers(3, 20))
+        X = rng.normal(size=(n, 2)).round(1)
+        y = rng.integers(0, 2, size=n).astype(np.int64)
+        counts = rng.integers(1, 4, size=n)
+        min_leaf = int(rng.integers(1, 5))
+        got, order = _split(X, y, counts, min_leaf)
+        copies = np.repeat(np.arange(n), counts)
+        want = reference_best_split(X[copies], y[copies], min_leaf)
+        if want is None:
+            assert got is None, trial
+            continue
+        f, thr, n_left = got
+        assert (f, thr) == want[:2], trial
+        assert np.array_equal(np.sort(order[f, :n_left]), np.flatnonzero(X[:, f] <= thr)), trial
 
 
 def test_single_deep_tree_fits_consistent_data_exactly():
@@ -351,18 +553,22 @@ def test_tree_growth_respects_min_leaf():
     X = rng.normal(size=(200, 2))
     y = (X[:, 0] + 0.3 * rng.normal(size=200) > 0).astype(np.uint8)
     min_leaf = 5
-    tree = trees_mod._grow(X, y, max_depth=None, min_leaf=min_leaf)
-    # Walk training points down the tree; every split side must hold >= min_leaf.
-    counts = {0: np.arange(len(y))}
-    for node in range(len(tree.feature)):
-        idx = counts.get(node)
-        if idx is None or tree.feature[node] < 0:
-            continue
-        go_left = X[idx, tree.feature[node]] <= tree.threshold[node]
-        left_idx, right_idx = idx[go_left], idx[~go_left]
-        assert len(left_idx) >= min_leaf and len(right_idx) >= min_leaf, node
-        counts[tree.left[node]] = left_idx
-        counts[tree.right[node]] = right_idx
+    cols = np.ascontiguousarray(X.T)
+    bootstrap = np.bincount(rng.integers(0, 200, size=200), minlength=200)
+    for counts in (np.ones(200, dtype=np.int64), bootstrap):
+        order = np.argsort(cols, axis=1, kind="stable")
+        tree = trees_mod._grow(cols, y, counts, order, max_depth=None, min_leaf=min_leaf)
+        # Walk training points down the tree; every split side must hold >= min_leaf.
+        reached = {0: np.flatnonzero(counts)}
+        for node in range(len(tree.feature)):
+            idx = reached.get(node)
+            if idx is None or tree.feature[node] < 0:
+                continue
+            go_left = X[idx, tree.feature[node]] <= tree.threshold[node]
+            left_idx, right_idx = idx[go_left], idx[~go_left]
+            assert counts[left_idx].sum() >= min_leaf and counts[right_idx].sum() >= min_leaf, node
+            reached[tree.left[node]] = left_idx
+            reached[tree.right[node]] = right_idx
 
 
 def test_trees_training_is_deterministic_per_seed():
@@ -379,6 +585,63 @@ def test_trees_learn_separable_data():
     samples = separable_samples(300, seed=4)
     model = train(samples, kind="trees", seed=0)
     assert pairwise_accuracy(model, samples) >= 0.97
+
+
+@pytest.fixture(scope="module")
+def corpus_frames():
+    """The criterion-5 training frames: 2000 frames, about 65k pairs."""
+    return generate_synthetic(SynthConfig(n_frames=2000, seed=7)).frames
+
+
+def _standardized(frames):
+    X, y = samples_to_arrays([s for f in frames for s in pairwise_deconstruct(f)])
+    return fit_scaling(X).apply(X), y
+
+
+def test_growth_matches_reference_on_a_corpus_sized_forest(corpus_frames):
+    Xs, y = _standardized(corpus_frames)
+    assert y.shape[0] >= 60_000
+    assert_fit_matches_reference(Xs, y, **DEFAULT_HYPERPARAMS["bagged_trees"])
+
+
+def test_growth_matches_reference_across_hyperparameters():
+    Xs, y = _standardized(generate_synthetic(SynthConfig(n_frames=120, seed=25)).frames)
+    assert_fit_matches_reference(Xs, y, bootstrap=False, n_trees=1)
+    for min_leaf in (1, 50):
+        for max_depth in (None, 1):
+            assert_fit_matches_reference(Xs, y, seed=min_leaf, min_leaf=min_leaf, max_depth=max_depth)
+    assert_fit_matches_reference(Xs, y, max_depth=None, min_leaf=1, bootstrap=False, n_trees=1)
+
+
+def test_growth_matches_reference_on_shuffled_rows_and_heavy_ties():
+    Xs, y = _standardized(generate_synthetic(SynthConfig(n_frames=120, seed=26)).frames)
+    perm = np.random.default_rng(26).permutation(y.shape[0])
+    assert not (np.diff(Xs[perm, 0]) >= 0).all()
+    assert_fit_matches_reference(Xs[perm], y[perm], n_trees=4, max_depth=None, min_leaf=2)
+    tied = Xs.round(1)
+    assert len(np.unique(tied[:, 0])) < 60
+    assert_fit_matches_reference(tied, y, n_trees=4)
+    assert_fit_matches_reference(tied[perm], y[perm], n_trees=4, max_depth=None, min_leaf=1)
+
+
+def test_growth_matches_reference_when_the_midpoint_rounds_onto_the_upper_value():
+    lower = np.nextafter(1.0, 2.0)
+    upper = np.nextafter(lower, 2.0)
+    assert 0.5 * (lower + upper) == upper
+    x = np.array([0.0] * 4 + [lower] * 6 + [upper] * 6 + [3.0] * 4)
+    X = np.column_stack([x, np.zeros_like(x)])
+    y = np.array([0] * 10 + [1] * 10, dtype=np.uint8)
+    tree = assert_fit_matches_reference(X, y, n_trees=1, bootstrap=False, min_leaf=1)[0]
+    assert tree.threshold[0] == lower
+    assert_fit_matches_reference(X, y, n_trees=8, min_leaf=1)
+
+
+def test_growth_matches_reference_when_a_draw_holds_one_class():
+    X = np.column_stack([np.arange(21.0), np.arange(21.0)[::-1] % 7])
+    y = np.array([0] * 20 + [1], dtype=np.uint8)
+    trees = assert_fit_matches_reference(X, y, n_trees=10, min_leaf=1)
+    bare = [t for t in trees if t.feature.shape[0] == 1]
+    assert bare and all(t.value[0] == 0.0 for t in bare)
 
 
 def reference_forest_scores(params, Xs):
@@ -422,8 +685,8 @@ def _pair_features(frames):
     )
 
 
-def test_fused_forest_matches_reference_on_synthetic_corpus():
-    frames = generate_synthetic(SynthConfig(n_frames=2000, seed=7)).frames
+def test_fused_forest_matches_reference_on_synthetic_corpus(corpus_frames):
+    frames = corpus_frames
     samples = [s for f in frames for s in pairwise_deconstruct(f)]
     assert len(samples) >= 60_000
     model = train(samples, kind="trees", seed=0)
@@ -541,6 +804,29 @@ def test_logreg_gradient_matches_central_differences():
             numeric[i] = (logreg_mod.loss(up, X, y, l2) - logreg_mod.loss(dn, X, y, l2)) / (2 * h)
         denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
         assert np.linalg.norm(analytic - numeric) / denom <= 1e-5
+
+
+def reference_sigmoid(z):
+    """The logistic function with a mask per sign, exp taken of -z or z."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_logreg_sigmoid_matches_the_masked_form_bit_for_bit():
+    rng = np.random.default_rng(27)
+    z = np.concatenate([
+        [800.0, -800.0, 0.0, -0.0, np.inf, -np.inf, 1e-300, -1e-300, 36.7, -36.7, 745.2, -745.2],
+        rng.normal(size=1000) * 40.0,
+    ])
+    got = logreg_mod._sigmoid(z)
+    assert np.array_equal(got.view(np.uint64), reference_sigmoid(z).view(np.uint64))
+    assert got[:6].tolist() == [1.0, 0.0, 0.5, 0.5, 1.0, 0.0]
+    # Only a NaN's sign bit may differ.
+    assert np.isnan(logreg_mod._sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 def test_logreg_zero_weights_score_half():
