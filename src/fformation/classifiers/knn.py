@@ -6,12 +6,16 @@ Ties in neighbor selection at the k-th position are broken toward label 0,
 then toward the lower training index, so prediction is deterministic.
 
 The search is exact and goes through a uniform grid over the training
-points. Each query finds an upper bound on its k-th squared distance from
-a square of cells around it, then scores every point in the cells that
-bound can reach, in training-index order. Every point that brute force
-could select is among them, and the squared distances are computed by the
-same float operations, so the scores are bit-identical to a vote over all
-training points.
+points. A call resolves all its rows together, in rounds of whole-array
+work. Each row starts from the 3 x 3 window of cells around its own cell.
+The k-th smallest squared distance in the window bounds the true one; when
+the padded radius of that bound stays inside the window, every point that
+brute force could select is in it, and the row is scored from the window.
+Otherwise the row goes round again with a wider window: the square its
+bound reaches, or twice the half-width if the window held fewer than k
+points. The squared distances are computed by the same float operations
+as a vote over all training points, and the votes are summed in the same
+order, so the scores are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -20,11 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-# Extra neighbors kept past k so boundary ties can be resolved without
-# sorting the whole row; if ties spill past the buffer we fall back to a
-# full sort of that row.
-_TIE_BUFFER = 8
 
 # Training points per grid cell, on average over the bounding box.
 _POINTS_PER_CELL = 4.0
@@ -35,6 +34,20 @@ _POINTS_PER_CELL = 4.0
 _RADIUS_REL_PAD = 1e-9
 _RADIUS_ABS_PAD = 1e-150
 
+# Float64 values one chunk of rows may fill (1 MB), so memory does not grow
+# with the call; see _chunks.
+_CHUNK_ELEMENTS = 1 << 17
+
+# Signs that turn a radius into the lower and upper corners of a square.
+_CORNERS = np.array([-1.0, 1.0])[:, None, None]
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``s, s + 1, ..., s + n - 1`` for each ``s`` of ``start`` and ``n``
+    of ``length``, end to end."""
+    ends = np.cumsum(length)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(start - (ends - length), length)
+
 
 @dataclass(frozen=True)
 class KnnParams:
@@ -43,10 +56,8 @@ class KnnParams:
     Cell (cx, cy) spans ``origin + cell * [cx, cx + 1) x [cy, cy + 1)``;
     points beyond the last cell of an axis are clamped into it. The
     points of cell ``c = cx * shape[1] + cy`` are
-    ``order[starts[c]:starts[c + 1]]``, in ascending training index. A
-    column of cells is contiguous, so a search square that spans every row
-    (queries far out along the distance feature, whose range has no upper
-    limit) reads one slice of ``order``.
+    ``order[starts[c]:starts[c + 1]]``, in ascending training index, so
+    the cells of one column of a window are one slice of ``order``.
     """
 
     points: np.ndarray  # (n, 2) standardized training features
@@ -55,7 +66,7 @@ class KnnParams:
     cell: float = field(init=False, repr=False)  # side of a square cell
     shape: tuple[int, int] = field(init=False, repr=False)  # cells along x, y
     order: np.ndarray = field(init=False, repr=False)  # (n,) cell-sorted indices
-    starts: tuple[int, ...] = field(init=False, repr=False)  # cells + 1 CSR offsets
+    starts: np.ndarray = field(init=False, repr=False)  # (cells + 1,) CSR offsets
 
     def __post_init__(self) -> None:
         pts = self.points
@@ -81,8 +92,10 @@ class KnnParams:
         order = np.argsort(flat, kind="stable")
         starts = np.zeros(self.shape[0] * self.shape[1] + 1, dtype=np.intp)
         np.cumsum(np.bincount(flat, minlength=starts.shape[0] - 1), out=starts[1:])
+        order.setflags(write=False)
+        starts.setflags(write=False)
         set_(self, "order", order)
-        set_(self, "starts", tuple(starts.tolist()))
+        set_(self, "starts", starts)
 
     def _cells(self, xy: np.ndarray) -> np.ndarray:
         """Clamped (cx, cy) cell of each row; NaN maps to cell 0."""
@@ -90,16 +103,18 @@ class KnnParams:
         c = np.fmin(np.fmax(c, 0.0), np.array(self.shape) - 1.0)
         return c.astype(np.intp)
 
-    def _spans(self, x0: int, x1: int, y0: int, y1: int) -> list[tuple[int, int]]:
-        """Ranges of ``order`` that hold the cells [x0, x1] x [y0, y1]."""
-        ny = self.shape[1]
-        s = self.starts
-        if y0 == 0 and y1 == ny - 1:
-            return [(s[x0 * ny], s[(x1 + 1) * ny])]
-        return [(s[c + y0], s[c + y1 + 1]) for c in range(x0 * ny, x1 * ny + 1, ny)]
+    def _columns(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Ranges of ``order`` that hold the windows of cells ``lo`` to ``hi``.
 
-    def _gather(self, spans: list[tuple[int, int]]) -> np.ndarray:
-        return np.concatenate([self.order[a:b] for a, b in spans])
+        ``lo`` and ``hi`` are (rows, 2) inclusive corners. Each column of a
+        window is one range. Returns the start and the length of each
+        range, grouped by row, and the number of points in each window.
+        """
+        width = hi[:, 0] - lo[:, 0] + 1
+        col = _ranges(lo[:, 0], width) * self.shape[1]
+        start = self.starts[col + np.repeat(lo[:, 1], width)]
+        length = self.starts[col + np.repeat(hi[:, 1] + 1, width)] - start
+        return start, length, np.add.reduceat(length, np.cumsum(width) - width)
 
 
 def fit(Xs: np.ndarray, y: np.ndarray) -> KnnParams:
@@ -110,64 +125,125 @@ def fit(Xs: np.ndarray, y: np.ndarray) -> KnnParams:
     return KnnParams(points=pts, labels=labels)
 
 
-def _row_score(d2: np.ndarray, labels: np.ndarray, k: int) -> float:
-    """Score one query given squared distances to every training point."""
-    n = d2.shape[0]
-    kth = min(k + _TIE_BUFFER, n) - 1
-    cand = np.argpartition(d2, kth)[: kth + 1]
-    order = np.lexsort((cand, labels[cand], d2[cand]))
-    cand = cand[order]
-    # Boundary tie spilling past the buffer: resort the full row.
-    if kth + 1 < n and d2[cand[k - 1]] == d2[cand[-1]]:
-        cand = np.lexsort((np.arange(n), labels, d2))
-    sel = cand[:k]
-    d2_sel = d2[sel]
-    y_sel = labels[sel].astype(np.float64)
-    if d2_sel[0] == 0.0:
-        exact = d2_sel == 0.0
-        return float(y_sel[exact].mean())
-    w = 1.0 / d2_sel
-    return float((w * y_sel).sum() / w.sum())
+def _chunks(count: np.ndarray) -> list:
+    """Sets of rows that each fill at most ``_CHUNK_ELEMENTS`` float64
+    values, or a single set of every row if it fits.
+
+    Rows whose windows hold ``count`` points take about four flat arrays
+    of that many values and a (rows x widest window) matrix. A row too
+    wide for the budget makes a chunk of its own.
+    """
+    if 4 * int(count.sum()) + count.size * int(count.max()) <= _CHUNK_ELEMENTS:
+        return [slice(None)]
+    rows = np.argsort(count, kind="stable")
+    count = count[rows]
+    parts = []
+    i = 0
+    while i < count.size:
+        c = count[i : i + _CHUNK_ELEMENTS // (5 * max(int(count[i]), 1))]
+        cost = 4 * np.cumsum(c) + np.arange(1, c.size + 1) * c
+        j = i + max(1, int(np.count_nonzero(cost <= _CHUNK_ELEMENTS)))
+        parts.append(rows[i:j])
+        i = j
+    return parts
+
+
+def _round(
+    params: KnnParams,
+    k: int,
+    q: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Search the windows ``lo`` to ``hi`` of queries ``q``, whose
+    ``columns`` are as ``KnnParams._columns`` gives them.
+
+    Returns the scores of the rows that their windows certify, which rows
+    those are, and the corners of the square each row's bound reaches.
+    """
+    m = q.shape[0]
+    start, length, count = columns
+    idx = params.order[_ranges(start, length)]
+    pts = params.points
+    d2 = (np.repeat(q[:, 0], count) - pts[:, 0][idx]) ** 2 + (np.repeat(q[:, 1], count) - pts[:, 1][idx]) ** 2
+    # The k-th squared distance of each row, with its window padded by inf.
+    width = max(int(count.max()), k)
+    padded = np.full((m, width), np.inf)
+    padded[np.arange(width) < count[:, None]] = d2
+    padded.partition(k - 1, axis=1)
+    kth = padded[:, k - 1]
+    # Every point within the bound lies in the cells that meet the square
+    # of half-width r around the query.
+    r = np.sqrt(kth) * (1.0 + _RADIUS_REL_PAD) + _RADIUS_ABS_PAD
+    reach = params._cells(q + r[:, None] * _CORNERS)
+    done = (count >= k) & ((reach[0] >= lo) & (reach[1] <= hi)).all(axis=1)
+    # Only the points within the bound can be selected: sort those by
+    # (distance, label, index) and take the first k of each row.
+    keep = np.flatnonzero(d2 <= np.repeat(np.where(done, kth, -1.0), count))
+    rows = np.repeat(np.arange(m), count)[keep]
+    idx, d2 = idx[keep], d2[keep]
+    labels = params.labels[idx]
+    first = np.lexsort((idx, labels, d2, rows))
+    if keep.size > k * np.count_nonzero(done):  # ties at the k-th distance
+        held = np.bincount(rows, minlength=m)[done]
+        first = first[_ranges(np.cumsum(held) - held, np.full(held.size, k))]
+    d2 = d2[first].reshape(-1, k)
+    y = labels[first].reshape(-1, k).astype(np.float64)
+    exact = d2[:, 0] == 0.0
+    if not exact.any():
+        w = 1.0 / d2
+        return (w * y).sum(axis=1) / w.sum(axis=1), done, reach
+    score = np.empty(d2.shape[0], dtype=np.float64)
+    w = 1.0 / d2[~exact]
+    score[~exact] = (w * y[~exact]).sum(axis=1) / w.sum(axis=1)
+    # Exact matches outvote the rest: the mean label of the exact matches.
+    hit = d2[exact] == 0.0
+    score[exact] = (y[exact] * hit).sum(axis=1) / hit.sum(axis=1)
+    return score, done, reach
 
 
 def scores(params: KnnParams, k: int, Xs: np.ndarray) -> np.ndarray:
-    """Weighted positive-class vote for each standardized query row."""
-    pts = params.points
-    labels = params.labels
-    n = pts.shape[0]
+    """Weighted positive-class vote for each standardized query row.
+
+    Rows that are not finite score NaN, as a vote over infinite distances
+    does.
+    """
+    n = params.points.shape[0]
     k = min(int(k), n)
     if k < 1:
         raise ValueError("k must be >= 1")
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
-    px = pts[:, 0]
-    py = pts[:, 1]
-    nx, ny = params.shape
-    m = Xs.shape[0]
-    # Double the square around each query's cell until it holds k points;
-    # the k-th squared distance among them bounds the true one.
-    bound = np.empty(m, dtype=np.float64)
-    for i, ((cx, cy), (qx, qy)) in enumerate(zip(params._cells(Xs).tolist(), Xs.tolist())):
-        radius = 0
-        while True:
-            spans = params._spans(
-                max(cx - radius, 0), min(cx + radius, nx - 1),
-                max(cy - radius, 0), min(cy + radius, ny - 1),
-            )
-            if sum(b - a for a, b in spans) >= k:
-                break
-            radius = 2 * radius + 1
-        near = params._gather(spans)
-        d2 = (qx - px[near]) ** 2 + (qy - py[near]) ** 2
-        bound[i] = np.partition(d2, k - 1)[k - 1]
-    # Every point whose squared distance is at most the bound lies in the
-    # cells that meet the square of half-width r around the query. They
-    # are scored in training-index order, as brute force sees them.
-    r = (np.sqrt(bound) * (1.0 + _RADIUS_REL_PAD) + _RADIUS_ABS_PAD)[:, None]
-    lower = params._cells(Xs - r).tolist()
-    upper = params._cells(Xs + r).tolist()
-    out = np.empty(m, dtype=np.float64)
-    for i, ((qx, qy), (x0, y0), (x1, y1)) in enumerate(zip(Xs.tolist(), lower, upper)):
-        cand = np.sort(params._gather(params._spans(x0, x1, y0, y1)))
-        d2 = (qx - px[cand]) ** 2 + (qy - py[cand]) ** 2
-        out[i] = _row_score(d2, labels[cand], k)
+    out = np.full(Xs.shape[0], np.nan)
+    rows = np.flatnonzero(np.isfinite(Xs).all(axis=1))
+    q = Xs[rows]
+    last = np.array(params.shape) - 1
+    cell = params._cells(q)
+    half = np.ones(rows.shape[0], dtype=np.intp)
+    lo = np.maximum(cell - 1, 0)
+    hi = np.minimum(cell + 1, last)
+    while rows.size:
+        columns = params._columns(lo, hi)
+        count = columns[2]
+        done = np.zeros(rows.size, dtype=bool)
+        parts = _chunks(np.maximum(count, k))
+        for part in parts:
+            if len(parts) > 1:
+                columns = params._columns(lo[part], hi[part])
+            score, ok, reach = _round(params, k, q[part], lo[part], hi[part], columns)
+            out[rows[part][ok]] = score
+            done[part] = ok
+            # A row whose bound is known goes round again with the square
+            # the bound reaches, which certifies it.
+            lo[part], hi[part] = reach
+        if done.all():
+            break
+        # A row whose window held fewer than k points doubles its half-width.
+        few = count < k
+        if few.any():
+            half[few] = 2 * half[few] + 1
+            lo[few] = np.maximum(cell[few] - half[few, None], 0)
+            hi[few] = np.minimum(cell[few] + half[few, None], last)
+        left = ~done
+        rows, q, cell, half, lo, hi = rows[left], q[left], cell[left], half[left], lo[left], hi[left]
     return out

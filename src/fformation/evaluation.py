@@ -28,10 +28,13 @@ ToleranceLike = Union[Fraction, float, int, str]
 def as_tolerance(value: ToleranceLike) -> Fraction:
     """Coerce a tolerance spelling to an exact Fraction in (0, 1].
 
-    Accepts Fractions, "num/den" strings, decimal strings, and floats.
+    Accepts Fractions, ints, "num/den" strings, decimal strings, and
+    floats; a bool raises TypeError, although it is an int.
     Decimals are read at face value ("0.25" means 1/4, not the nearest
     binary float); the spelling 0.6667 is treated as exactly 2/3.
     """
+    if isinstance(value, bool):
+        raise TypeError(f"cannot interpret bool {value!r} as a tolerance")
     if isinstance(value, Fraction):
         tol = value
     elif isinstance(value, int):

@@ -221,9 +221,30 @@ def test_knn_matches_oracle_under_heavy_distance_ties():
             assert math.isclose(got[qi], want, rel_tol=1e-12, abs_tol=1e-12), (trial, qi)
 
 
+def reference_row_score(d2, labels, k):
+    """Score one query given squared distances to every training point:
+    the k first by (distance, label, index), votes summed in that order."""
+    n = d2.shape[0]
+    kth = min(k + 8, n) - 1
+    cand = np.argpartition(d2, kth)[: kth + 1]
+    order = np.lexsort((cand, labels[cand], d2[cand]))
+    cand = cand[order]
+    # Boundary tie spilling past the 8 extra neighbors: resort the full row.
+    if kth + 1 < n and d2[cand[k - 1]] == d2[cand[-1]]:
+        cand = np.lexsort((np.arange(n), labels, d2))
+    sel = cand[:k]
+    d2_sel = d2[sel]
+    y_sel = labels[sel].astype(np.float64)
+    if d2_sel[0] == 0.0:
+        exact = d2_sel == 0.0
+        return float(y_sel[exact].mean())
+    w = 1.0 / d2_sel
+    return float((w * y_sel).sum() / w.sum())
+
+
 def brute_force_knn_scores(params, k, Xs):
     """Scores from every training point: the selection and summation of
-    ``knn._row_score`` over full rows of squared distances."""
+    ``reference_row_score`` over full rows of squared distances."""
     pts = params.points
     n = pts.shape[0]
     k = min(int(k), n)
@@ -235,7 +256,7 @@ def brute_force_knn_scores(params, k, Xs):
         d2 = (q[:, 0:1] - pts[None, :, 0]) ** 2
         d2 += (q[:, 1:2] - pts[None, :, 1]) ** 2
         for i in range(q.shape[0]):
-            out[start + i] = knn_mod._row_score(d2[i], params.labels, k)
+            out[start + i] = reference_row_score(d2[i], params.labels, k)
     return out
 
 
@@ -330,6 +351,151 @@ def test_knn_grid_matches_brute_force_when_k_reaches_n():
     pts = rng.normal(size=(15, 2))
     labels = rng.integers(0, 2, size=15).astype(np.uint8)
     assert_grid_matches_brute_force(pts, labels, rng.normal(size=(20, 2)) * 3, ks=(14, 15, 16, 100))
+
+
+@pytest.fixture(scope="module")
+def corpus_knn(corpus_frames):
+    """A knn model trained on the criterion-5 training frames."""
+    return train([s for f in corpus_frames for s in pairwise_deconstruct(f)], kind="knn", seed=0)
+
+
+def test_knn_per_frame_calls_match_brute_force(corpus_knn):
+    # The detector scores the pairs of one frame per call.
+    frames = generate_synthetic(SynthConfig(n_frames=220, seed=9)).frames
+    batches = [
+        corpus_knn.scaling.apply([[s.distance, s.effort_angle] for s in pairwise_deconstruct(f)])
+        for f in frames if len(f.agents) >= 2
+    ][:200]
+    assert len(batches) == 200
+    params, k = corpus_knn.params, corpus_knn.hyperparams["k"]
+    got = np.concatenate([knn_mod.scores(params, k, b) for b in batches])
+    assert np.array_equal(got, brute_force_knn_scores(params, k, np.concatenate(batches)))
+
+
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_predict_batch_takes_an_empty_batch_and_a_single_row(kind):
+    model = train(separable_samples(60, seed=3), kind=kind, seed=0)
+    labels, scores = predict_batch(model, np.empty((0, 2)))
+    assert labels.shape == scores.shape == (0,)
+    labels, scores = predict_batch(model, [[1.5, 0.7]])
+    assert scores.shape == (1,)
+    assert (int(labels[0]), float(scores[0])) == predict(model, 1.5, 0.7)
+    if kind == "knn":
+        for rows in (np.empty((0, 2)), model.scaling.apply([[1.5, 0.7]])):
+            got = knn_mod.scores(model.params, 10, rows)
+            assert np.array_equal(got, brute_force_knn_scores(model.params, 10, rows))
+
+
+def test_knn_rows_resolving_in_different_rounds_match_brute_force(monkeypatch):
+    rng = np.random.default_rng(26)
+    blob = rng.normal(scale=0.02, size=(600, 2)) + [1.0, -0.5]
+    pts = np.concatenate([rng.normal(size=(3000, 2)), blob])
+    labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
+    params = knn_mod.fit(pts, labels)
+    densest = np.argmax(np.diff(params.starts))
+    corner = params.origin + params.cell * np.array(divmod(densest, params.shape[1]))
+    queries = np.concatenate([
+        rng.normal(size=(200, 2)),
+        rng.normal(size=(40, 2)) * 30.0,
+        [[40.0, 0.0], [-40.0, 0.3], [0.1, 300.0], [1e6, -1e6]],
+        corner + rng.uniform(0.0, 1.0, size=(50, 2)) * params.cell,
+    ])
+    queries = queries[rng.permutation(len(queries))]
+    certified = []
+    real_round = knn_mod._round
+
+    def counting_round(*args):
+        score, done, reach = real_round(*args)
+        certified.append(int(np.count_nonzero(done)))
+        return score, done, reach
+
+    monkeypatch.setattr(knn_mod, "_round", counting_round)
+    for k in (1, 10, 30):
+        certified.clear()
+        got = knn_mod.scores(params, k, queries)
+        assert np.array_equal(got, brute_force_knn_scores(params, k, queries)), k
+        # Most rows resolve in the first round, the rest in later ones.
+        assert len(certified) >= 2 and 0 < certified[1] < certified[0], (k, certified)
+    assert len(certified) >= 3, certified
+
+
+def test_knn_batch_of_one_chunk_plus_one_row_matches_brute_force():
+    rng = np.random.default_rng(27)
+    pts = rng.uniform(-5.0, 5.0, size=(3000, 2))
+    labels = rng.integers(0, 2, size=3000).astype(np.uint8)
+    params = knn_mod.fit(pts, labels)
+    # Rows in one cell share its 3 x 3 window, so a chunk holds a fixed
+    # number of them.
+    cell = np.array(params.shape) // 2
+    count = int(params._columns(cell[None] - 1, cell[None] + 1)[2][0])
+    per_chunk = len(knn_mod._chunks(np.full(10**6, count))[0])
+    queries = params.origin + (cell + rng.uniform(0.05, 0.95, size=(per_chunk + 1, 2))) * params.cell
+    assert (params._cells(queries) == cell).all()
+    parts = knn_mod._chunks(np.full(len(queries), count))
+    assert [len(p) for p in parts] == [per_chunk, 1]
+    assert_grid_matches_brute_force(pts, labels, queries, ks=(10,))
+
+
+def test_knn_ties_at_the_kth_distance_straddling_the_first_window():
+    # On a lattice, rings of points lie at one distance from a query. When
+    # the ring at the k-th distance has points inside and outside the 3 x 3
+    # window of the query's cell, the label and index tie-break must see
+    # the whole ring.
+    side = np.arange(-10, 11, dtype=np.float64)
+    pts = np.array([(x, y) for x in side for y in side])
+    labels = np.random.default_rng(28).integers(0, 2, size=len(pts)).astype(np.uint8)
+    params = knn_mod.fit(pts, labels)
+    cells = params._cells(pts)
+    straddled = 0
+    for q in ([0.5, 0.5], [0.0, 0.5], [1.5, -2.5], [-3.0, 2.0]):
+        d2 = (q[0] - pts[:, 0]) ** 2 + (q[1] - pts[:, 1]) ** 2
+        inside = (np.abs(cells - params._cells(np.array([q]))[0]) <= 1).all(axis=1)
+        for value in np.unique(d2):
+            ring = d2 == value
+            if inside[ring].all() or not inside[ring].any():
+                continue
+            closer = int(np.count_nonzero(d2 < value))
+            ks = sorted({closer + 1, closer + int(ring.sum()) - 1})
+            assert_grid_matches_brute_force(pts, labels, [q], ks=ks)
+            straddled += 1
+    assert straddled >= 8
+
+
+def test_knn_conflicting_duplicates_score_the_mean_of_their_labels():
+    rng = np.random.default_rng(29)
+    spots = rng.uniform(-3.0, 3.0, size=(40, 2))
+    copies = np.repeat(spots, rng.integers(2, 6, size=40), axis=0)
+    pts = np.concatenate([rng.uniform(-3.0, 3.0, size=(1000, 2)), copies])
+    labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
+    shuffle = rng.permutation(len(pts))
+    pts, labels = pts[shuffle], labels[shuffle]
+    # Exact and inexact rows in one call.
+    queries = np.concatenate([spots, rng.uniform(-3.0, 3.0, size=(40, 2))])
+    assert_grid_matches_brute_force(pts, labels, queries, ks=(1, 3, 10))
+    means = np.array([labels[(pts == s).all(axis=1)].mean() for s in spots])
+    assert ((means > 0.0) & (means < 1.0)).any()
+    assert np.array_equal(knn_mod.scores(knn_mod.fit(pts, labels), 10, spots), means)
+
+
+def test_knn_scores_non_finite_rows_as_nan():
+    rng = np.random.default_rng(30)
+    params = knn_mod.fit(rng.normal(size=(200, 2)), rng.integers(0, 2, size=200).astype(np.uint8))
+    rows = np.array([[0.1, 0.2], [np.nan, 0.0], [0.0, np.inf], [-0.3, 0.5]])
+    got = knn_mod.scores(params, 10, rows)
+    assert np.isnan(got[1:3]).all()
+    assert np.array_equal(got[[0, 3]], brute_force_knn_scores(params, 10, rows[[0, 3]]))
+
+
+def test_knn_self_accuracy_is_below_one_with_conflicting_duplicates():
+    # Each distinct training point is its own exact match, but copies of
+    # one point with different labels all score their mean label.
+    conflicting = [
+        PairSample(id_a=1000 + i, id_b=2000 + i, distance=1.0, effort_angle=1.0, label=label)
+        for i, label in enumerate((1, 0, 0))
+    ]
+    samples = separable_samples(200, seed=5) + conflicting
+    model = train(samples, kind="knn", seed=0)
+    assert pairwise_accuracy(model, samples) == 202 / 203
 
 
 def test_knn_exact_match_dominates():

@@ -41,6 +41,14 @@ def test_as_tolerance_rejections():
         as_tolerance([0.5])
 
 
+def test_as_tolerance_rejects_booleans():
+    # bool is an int, so True would otherwise read as the tolerance 1.
+    for bad in (True, False):
+        with pytest.raises(TypeError, match="bool"):
+            as_tolerance(bad)
+    assert as_tolerance("1") == as_tolerance(1) == Fraction(1)
+
+
 def test_group_match_examples():
     assert group_match({1, 2, 3}, {1, 2, 3}, Fraction(2, 3)) is True
     assert group_match({1, 2}, {1, 2, 3}, Fraction(2, 3)) is True
