@@ -91,7 +91,6 @@ def train(
             Xs,
             y,
             l2=hp["l2"],
-            learning_rate=hp["learning_rate"],
             epochs=hp["epochs"],
             tol=hp["tol"],
         )

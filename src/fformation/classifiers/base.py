@@ -27,7 +27,7 @@ KIND_ALIASES = {
 DEFAULT_HYPERPARAMS: dict[str, dict[str, Any]] = {
     "weighted_knn": {"k": 10},
     "bagged_trees": {"n_trees": 30, "max_depth": 12, "min_leaf": 5, "bootstrap": True},
-    "logistic_regression": {"l2": 1e-4, "learning_rate": 0.1, "epochs": 2000, "tol": 1e-8},
+    "logistic_regression": {"l2": 1e-4, "epochs": 2000, "tol": 1e-8},
 }
 
 
@@ -57,7 +57,6 @@ _HYPERPARAM_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "max_depth": (lambda v: v is None or (_integer(v) and v >= 1), "None or an integer >= 1"),
     "min_leaf": _AT_LEAST_ONE,
     "l2": _NON_NEGATIVE,
-    "learning_rate": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
     "epochs": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
     "tol": _NON_NEGATIVE,
 }

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -129,10 +130,6 @@ def test_samples_to_arrays_rejects_labels_other_than_0_and_1():
         ("trees", {"min_leaf": 0}),
         ("trees", {"max_depth": 0}),
         ("trees", {"max_depth": -1}),
-        ("logreg", {"learning_rate": math.nan}),
-        ("logreg", {"learning_rate": math.inf}),
-        ("logreg", {"learning_rate": 0.0}),
-        ("logreg", {"learning_rate": -0.1}),
         ("logreg", {"l2": -1e-4}),
         ("logreg", {"l2": math.inf}),
         ("logreg", {"tol": -1e-8}),
@@ -153,6 +150,11 @@ def test_train_accepts_hyperparameters_on_the_edge_of_their_range():
     train(samples, kind="trees", hyperparams={"max_depth": 1})
     model = train(samples, kind="logreg", hyperparams={"l2": 0, "tol": 0.0, "epochs": 0})
     assert np.array_equal(model.params.coef, np.zeros(3))
+
+
+def test_train_rejects_the_retired_learning_rate():
+    with pytest.raises(ValueError, match="unknown hyperparameter 'learning_rate'"):
+        train(separable_samples(40, seed=23), kind="logreg", hyperparams={"learning_rate": 0.1})
 
 
 def test_fit_scaling_rejects_zero_variance():
@@ -1013,8 +1015,108 @@ def test_logreg_descent_reduces_loss():
     X, y = samples_to_arrays(samples)
     scaling = fit_scaling(X)
     Xs = scaling.apply(X)
-    fitted = logreg_mod.fit(Xs, y, l2=1e-4, learning_rate=0.1, epochs=2000, tol=1e-8)
+    fitted = logreg_mod.fit(Xs, y, l2=1e-4, epochs=2000, tol=1e-8)
     assert logreg_mod.loss(fitted.coef, Xs, y, 1e-4) < logreg_mod.loss(np.zeros(3), Xs, y, 1e-4)
+
+
+def reference_gradient_descent(Xs, y, l2, learning_rate, epochs, tol):
+    """Full-batch gradient descent at a fixed rate from zero, with an early
+    stop on a small gradient norm."""
+    coef = np.zeros(3, dtype=np.float64)
+    y = y.astype(np.float64)
+    for _ in range(int(epochs)):
+        g = logreg_mod.gradient(coef, Xs, y, l2)
+        if float(np.linalg.norm(g)) < tol:
+            break
+        coef -= learning_rate * g
+    return coef
+
+
+def test_logreg_newton_reaches_the_optimum_on_a_corpus_sized_set(corpus_frames):
+    Xs, y = _standardized(corpus_frames)
+    hp = DEFAULT_HYPERPARAMS["logistic_regression"]
+    fitted = logreg_mod.fit(Xs, y, **hp).coef
+    descended = reference_gradient_descent(
+        Xs, y, hp["l2"], learning_rate=0.1, epochs=hp["epochs"], tol=hp["tol"])
+    assert logreg_mod.loss(fitted, Xs, y, hp["l2"]) <= logreg_mod.loss(descended, Xs, y, hp["l2"])
+    assert np.linalg.norm(logreg_mod.gradient(fitted, Xs, y, hp["l2"])) < hp["tol"]
+    assert np.array_equal(logreg_mod.fit(Xs, y, **hp).coef, fitted)
+    # The stopping rule fires within 20 iterations.
+    assert np.array_equal(logreg_mod.fit(Xs, y, **dict(hp, epochs=20)).coef, fitted)
+
+
+def finished_within(seconds, fn, *args, **kwargs):
+    """fn's result, run in a daemon thread that must return within ``seconds``."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args, **kwargs)), daemon=True)
+    worker.start()
+    worker.join(timeout=seconds)
+    assert not worker.is_alive(), f"{fn.__name__} still running after {seconds} s"
+    assert out, f"{fn.__name__} raised"
+    return out[0]
+
+
+def _separable_standardized(seed):
+    X, y = samples_to_arrays(separable_samples(200, seed=seed))
+    return fit_scaling(X).apply(X), y
+
+
+def _losses_by_epochs(Xs, y, l2, tol, epochs):
+    return [logreg_mod.loss(logreg_mod.fit(Xs, y, l2=l2, epochs=e, tol=tol).coef, Xs, y, l2)
+            for e in range(epochs)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_logreg_fit_on_separable_data_without_penalty_stops_finite(seed):
+    Xs, y = _separable_standardized(seed)
+    epochs = DEFAULT_HYPERPARAMS["logistic_regression"]["epochs"]
+    coef = finished_within(10.0, logreg_mod.fit, Xs, y, l2=0.0, epochs=epochs, tol=0.0).coef
+    assert np.isfinite(coef).all()
+    assert logreg_mod.loss(coef, Xs, y, 0.0) < logreg_mod.loss(np.zeros(3), Xs, y, 0.0)
+    # It stops once no halved step lowers the loss, and the loss never rises.
+    assert np.array_equal(logreg_mod.fit(Xs, y, l2=0.0, epochs=100, tol=0.0).coef, coef)
+    losses = _losses_by_epochs(Xs, y, 0.0, 0.0, 60)
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+
+def test_logreg_fit_halves_a_step_that_overshoots():
+    # Seven points on which the full seventh Newton step raises the loss.
+    Xs = np.array([[-0.295, -0.059], [0.764, 0.873], [-2.125, -1.532], [0.196, -0.938],
+                   [-0.281, -0.251], [1.171, 0.204], [0.569, 1.703]])
+    y = np.array([1, 1, 0, 0, 0, 0, 1], dtype=np.uint8)
+    coef = finished_within(10.0, logreg_mod.fit, Xs, y, l2=1e-4, epochs=2000, tol=1e-8).coef
+    assert np.linalg.norm(logreg_mod.gradient(coef, Xs, y, 1e-4)) < 1e-8
+    losses = _losses_by_epochs(Xs, y, 1e-4, 1e-8, 12)
+    assert all(b <= a for a, b in zip(losses, losses[1:]))
+
+
+def test_logreg_trains_on_two_samples_without_penalty():
+    # Two standardized samples make the Hessian singular.
+    samples = make_samples([(1.0, 0.5, 1), (3.0, 2.5, 0)])
+    model = finished_within(10.0, train, samples, kind="logreg", hyperparams={"l2": 0})
+    assert np.isfinite(model.params.coef).all()
+    assert pairwise_accuracy(model, samples) == 1.0
+
+
+def test_logreg_fit_with_one_epoch_takes_one_newton_step():
+    Xs, y = _separable_standardized(3)
+    l2 = 1e-4
+    coef = finished_within(10.0, logreg_mod.fit, Xs, y, l2=l2, epochs=1, tol=1e-8).coef
+    # From zero every p(1 - p) is 1/4.
+    A = np.column_stack((np.ones(len(y)), Xs))
+    hessian = 0.25 * A.T @ A / len(y) + np.diag([0.0, l2, l2])
+    step = -np.linalg.solve(hessian, logreg_mod.gradient(np.zeros(3), Xs, y, l2))
+    t = coef[1] / step[1]
+    assert any(math.isclose(t, 0.5**j, rel_tol=1e-9) for j in range(31))
+    assert np.allclose(coef, t * step, rtol=1e-9, atol=1e-12)
+    assert logreg_mod.loss(coef, Xs, y, l2) < logreg_mod.loss(np.zeros(3), Xs, y, l2)
+    assert not np.array_equal(logreg_mod.fit(Xs, y, l2=l2, epochs=2, tol=1e-8).coef, coef)
+
+
+def test_logreg_fit_with_zero_epochs_returns_zeros():
+    Xs, y = _separable_standardized(4)
+    coef = finished_within(10.0, logreg_mod.fit, Xs, y, l2=1e-4, epochs=0, tol=1e-8).coef
+    assert np.array_equal(coef, np.zeros(3))
 
 
 # ---------------------------------------------------------------- shared API
@@ -1185,6 +1287,19 @@ def test_model_round_trip_bit_identical_predictions(tmp_path):
         _, s_orig = predict_batch(model, q)
         _, s_load = predict_batch(loaded, q)
         assert np.array_equal(s_orig, s_load), kind
+
+
+def test_logreg_document_with_a_learning_rate_loads_and_predicts_from_its_coef():
+    # A document as written when logreg was fitted by gradient descent.
+    doc = model_to_dict(train(separable_samples(40, seed=14), kind="logreg", seed=0))
+    doc["hyperparams"] = {"l2": 1e-4, "learning_rate": 0.1, "epochs": 2000, "tol": 1e-8}
+    coef = [-4.536799051204337, -4.076233658542516, -2.0950241577231036]
+    doc["params"]["coef"] = coef
+    model = model_from_dict(json.loads(json.dumps(doc)))
+    assert model.hyperparams["learning_rate"] == 0.1
+    q = np.random.default_rng(4).uniform(0, 7, size=(300, 2))
+    want = logreg_mod.scores(logreg_mod.LogisticParams(coef=np.array(coef)), model.scaling.apply(q))
+    assert np.array_equal(predict_batch(model, q)[1], want)
 
 
 def test_model_dict_round_trip_preserves_tree_arrays():
