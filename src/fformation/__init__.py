@@ -60,7 +60,7 @@ from .evaluation import (
     group_match,
     majority_baseline,
 )
-from .features import distance, effort_angle, pairwise_deconstruct
+from .features import distance, effort_angle, pair_features, pairwise_deconstruct
 from .reconstruction import belief_set, detect, greedy_reconstruct
 from .render import render_frame_svg, render_size_chart_svg
 from .synthetic import PlacementError, SynthConfig, generate_synthetic
@@ -106,6 +106,7 @@ __all__ = [
     "load_salsa",
     "majority_baseline",
     "normalize_angle",
+    "pair_features",
     "pairwise_accuracy",
     "pairwise_deconstruct",
     "perfect_gap",

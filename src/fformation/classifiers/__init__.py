@@ -13,9 +13,8 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..core import Frame, PairSample, RelationMatrix, validate_frame
-from ..features import distance as _distance
-from ..features import effort_angle as _effort_angle
+from ..core import Frame, PairSample, RelationMatrix
+from ..features import pair_features
 from .base import (
     DEFAULT_HYPERPARAMS,
     KIND_ALIASES,
@@ -139,25 +138,26 @@ def pairwise_accuracy(model: TrainedModel, samples: Sequence[PairSample]) -> flo
     return float((labels == y).mean())
 
 
-def build_relation_matrix(model: TrainedModel, frame: Frame) -> RelationMatrix:
-    """Classify every unordered pair in a frame into a relation matrix.
+def build_relation_matrix(
+    model: TrainedModel, frames: Frame | Sequence[Frame]
+) -> RelationMatrix | list[RelationMatrix]:
+    """Classify every unordered pair of a frame into a relation matrix.
 
     Ids are sorted ascending; entry (i, j) is the predicted label for the
     pair, the diagonal is fixed at 1, and the result is symmetric by
     construction (the pair features themselves are order-independent).
+    Given a sequence of frames, returns one matrix per frame, and the
+    pairs of all of them are scored in one ``predict_batch`` call.
     """
-    validate_frame(frame)
-    ids = tuple(sorted(a.agent_id for a in frame.agents))
-    n = len(ids)
-    m = np.eye(n, dtype=np.uint8)
-    if n > 1:
-        pose = {a.agent_id: a for a in frame.agents}
-        rows = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                a, b = pose[ids[i]], pose[ids[j]]
-                rows.append([_distance(a, b), _effort_angle(a, b)])
-        labels, _ = predict_batch(model, np.array(rows, dtype=np.float64))
-        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))  # the pairs above, in order
-        m[i, j] = m[j, i] = labels
-    return RelationMatrix(ids=ids, m=m)
+    single = isinstance(frames, Frame)
+    batch = [frames] if single else list(frames)
+    offsets, i, j, X = pair_features(batch)
+    labels, _ = predict_batch(model, X)
+    matrices = []
+    for f, frame in enumerate(batch):
+        ids = tuple(sorted(a.agent_id for a in frame.agents))
+        m = np.eye(len(ids), dtype=np.uint8)
+        rows = slice(offsets[f], offsets[f + 1])
+        m[i[rows], j[rows]] = m[j[rows], i[rows]] = labels[rows]
+        matrices.append(RelationMatrix(ids=ids, m=m))
+    return matrices[0] if single else matrices

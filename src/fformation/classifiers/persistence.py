@@ -128,9 +128,9 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
     """Rebuild a model from its document.
 
     Raises ModelFormatError for a wrong format or version, a missing or
-    mistyped field, a non-finite number, scaling without a positive std,
-    kNN labels other than 0/1, a k below 1, and tree arrays whose paths
-    could fail to end in a leaf.
+    mistyped field, a non-finite number or an integer too large for a
+    float, scaling without a positive std, kNN labels other than 0/1, a k
+    below 1, and tree arrays whose paths could fail to end in a leaf.
     """
     try:
         if doc.get("format") != FORMAT_NAME:
@@ -158,7 +158,7 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
         )
     except ModelFormatError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"malformed model document: {exc}") from exc
 
 

@@ -94,14 +94,10 @@ def cmd_detect(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     dataset = _load(args.data, args.format)
     started = time.perf_counter()
+    groups = detect(model, dataset.frames, mode=args.mode)
     detected = [
-        Frame(
-            frame_id=f.frame_id,
-            agents=f.agents,
-            timestamp=f.timestamp,
-            truth=detect(model, f, mode=args.mode),
-        )
-        for f in dataset.frames
+        Frame(frame_id=f.frame_id, agents=f.agents, timestamp=f.timestamp, truth=g)
+        for f, g in zip(dataset.frames, groups)
     ]
     elapsed = time.perf_counter() - started
     save_canonical(CanonicalDataset.from_frames(detected), args.out)

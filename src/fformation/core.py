@@ -34,7 +34,7 @@ def normalize_angle(theta: float) -> float:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AgentPose:
     """One person's 2-D position and body heading in a frame.
 
@@ -69,7 +69,7 @@ class AgentPose:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupSet:
     """A partition fragment: disjoint sets of agent ids, each of size >= 2.
 
@@ -107,7 +107,7 @@ class GroupSet:
         return len(self.groups)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Frame:
     """A timestamped scene: agent poses plus optional ground-truth grouping."""
 
@@ -126,7 +126,7 @@ class Frame:
         raise KeyError(f"no agent {agent_id} in frame {self.frame_id}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairSample:
     """Features and optional binary label for one unordered person-pair.
 
@@ -142,7 +142,7 @@ class PairSample:
     label: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RelationMatrix:
     """n x n symmetric binary matrix of pairwise same-group predictions.
 
@@ -158,11 +158,11 @@ class RelationMatrix:
         n = len(self.ids)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} ids")
-        if not np.array_equal(m, m.T):
+        if not (m == m.T).all():
             raise ValueError("relation matrix must be symmetric")
-        if n and not np.all(np.diag(m) == 1):
+        if not (m.diagonal() == 1).all():
             raise ValueError("relation matrix must have a unit diagonal")
-        if not np.all((m == 0) | (m == 1)):
+        if not (m <= 1).all():  # unsigned, so 0 or 1
             raise ValueError("relation matrix entries must be 0 or 1")
         m = m.copy()
         m.setflags(write=False)

@@ -107,7 +107,7 @@ def _frame_from_dict(doc: dict, where: str) -> Frame:
             )
         try:
             agents.append(AgentPose.make(a["id"], a["x"], a["y"], a["body_theta"], head))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # an integer too large for a float overflows
             raise DatasetFormatError(f"{spot}: {exc}") from exc
     timestamp = doc.get("timestamp")
     if timestamp is not None:
@@ -115,7 +115,10 @@ def _frame_from_dict(doc: dict, where: str) -> Frame:
             isinstance(timestamp, (int, float)) and not isinstance(timestamp, bool),
             f"{where}: timestamp must be a number",
         )
-        timestamp = float(timestamp)
+        try:
+            timestamp = float(timestamp)
+        except OverflowError as exc:
+            raise DatasetFormatError(f"{where}: timestamp: {exc}") from exc
     truth: Optional[GroupSet] = None
     if "groups" in doc:
         raw = doc["groups"]

@@ -9,17 +9,23 @@ pair is described by two numbers:
   face each other; 2*pi means they stand back to back.
 
 Both features are commutative, so one sample per unordered pair suffices.
+:func:`pair_features` gives the same numbers for many frames at once, as
+arrays.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import attrgetter
+from typing import Sequence
 
-from .core import Frame, PairSample, AgentPose, validate_frame
+import numpy as np
 
-__all__ = ["distance", "effort_angle", "pairwise_deconstruct"]
+from .core import TWO_PI, Frame, PairSample, AgentPose, validate_frame
+
+__all__ = ["distance", "effort_angle", "pair_features", "pairwise_deconstruct"]
 
 
 def _wrap_pi(theta: float) -> float:
@@ -60,6 +66,63 @@ def effort_angle(a: AgentPose, b: AgentPose) -> float:
         )
         return 0.0
     return _turn_toward(a, b) + _turn_toward(b, a)
+
+
+def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs of many frames as arrays ``(offsets, i, j, X)``.
+
+    Frame ``f`` owns rows ``offsets[f]:offsets[f + 1]``. ``i < j`` index
+    the frame's agents in ascending id order, and its pairs run in
+    row-major order. ``X`` holds [distance, effort_angle] rows equal bit
+    for bit to :func:`distance` and :func:`effort_angle`, coincident
+    agents included (effort 0 and one RuntimeWarning per pair). Raises
+    ValidationError, naming the frame, for an invalid frame.
+    """
+    poses: list[AgentPose] = []
+    sizes = []
+    for frame in frames:
+        validate_frame(frame)
+        poses.extend(sorted(frame.agents, key=attrgetter("agent_id")))
+        sizes.append(len(frame.agents))
+    # Per frame size: the pairs (i, j), and for the turns a toward b and b
+    # toward a, their agents interleaved as (i0, j0, i1, ...) and (j0, i0, j1, ...).
+    upper = {}
+    for n in set(sizes):
+        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+        upper[n] = i, j, np.column_stack((i, j)).ravel(), np.column_stack((j, i)).ravel()
+    none = [np.zeros(0, dtype=np.intp)]
+    i = np.concatenate([upper[n][0] for n in sizes] or none)
+    j = np.concatenate([upper[n][1] for n in sizes] or none)
+    offsets = np.fromiter(accumulate((n * (n - 1) // 2 for n in sizes), initial=0), np.intp)
+    starts = list(accumulate(sizes, initial=0))
+    ab = np.concatenate([upper[n][2] + start for n, start in zip(sizes, starts)] or none)
+    ba = np.concatenate([upper[n][3] + start for n, start in zip(sizes, starts)] or none)
+    x = np.array([p.x for p in poses], dtype=np.float64)
+    y = np.array([p.y for p in poses], dtype=np.float64)
+    theta = np.array([p.body_theta for p in poses], dtype=np.float64)
+    # The offsets are taken both ways, not negated: atan2 tells +0 from -0.
+    # atan2 and hypot are math's, per element: numpy's own can differ from
+    # them in the last ulp.
+    dx = (x[ba] - x[ab]).tolist()
+    dy = (y[ba] - y[ab]).tolist()
+    # :func:`_wrap_pi` without its fmod and its lower branch, which change
+    # nothing here: a heading in [0, 2*pi) less a bearing in [-pi, pi]
+    # lies in [-pi, 3*pi], and above 2*pi, subtracting 2*pi is exact, as
+    # fmod is (Sterbenz).
+    turn = theta[ab] - np.fromiter(map(math.atan2, dy, dx), np.float64, len(dx))
+    turn = np.abs(np.where(turn > math.pi, turn - TWO_PI, turn))
+    effort = turn[0::2] + turn[1::2]
+    dist = np.fromiter(map(math.hypot, dx[0::2], dy[0::2]), np.float64, len(i))
+    if not dist.all():  # a distance is zero exactly when both offsets are
+        for k in np.flatnonzero(dist == 0.0).tolist():
+            a, b = poses[ab[2 * k]], poses[ba[2 * k]]
+            warnings.warn(
+                f"agents {a.agent_id} and {b.agent_id} share a position; effort angle defaulted to 0",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        effort[dist == 0.0] = 0.0
+    return offsets, i, j, np.column_stack((dist, effort))
 
 
 def pairwise_deconstruct(frame: Frame) -> list[PairSample]:

@@ -8,6 +8,10 @@ emitted stay ungrouped; every emitted group has at least 2 members.
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from .classifiers import TrainedModel, build_relation_matrix
 from .core import Frame, GroupSet, RelationMatrix
 
@@ -26,6 +30,19 @@ def belief_set(matrix: RelationMatrix, i: int) -> set:
     return {matrix.ids[j] for j in range(n) if row[j] == 1}
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+
+
+def _members(mask: int):
+    """Indices of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def greedy_reconstruct(matrix: RelationMatrix, mode: str = "intersection") -> GroupSet:
     """Emit disjoint groups from a relation matrix, largest agreement first.
 
@@ -34,37 +51,49 @@ def greedy_reconstruct(matrix: RelationMatrix, mode: str = "intersection") -> Gr
     to the lexicographically smallest (i, j). The emitted group is
     (B_i ∩ B_j) ∪ {i, j}, or B_i ∪ B_j in union mode. Rounds continue
     while 2+ agents remain and some positive off-diagonal entry survives.
+
+    Belief rows and the remaining agents are int bitmasks, and only the
+    positive pairs are scored: listed in row-major order, so the first
+    maximum is the lexicographic one, and dropped once they touch an
+    emitted agent.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _check_mode(mode)
     n = matrix.n
-    m = matrix.m
-    beliefs = [frozenset(j for j in range(n) if m[i][j] == 1) for i in range(n)]
-    remaining = set(range(n))
+    packed = np.packbits(matrix.m, axis=1, bitorder="little")
+    width = packed.shape[1]
+    raw = packed.tobytes()
+    beliefs = [int.from_bytes(raw[k * width:(k + 1) * width], "little") for k in range(n)]
+    # (B_i & B_j, B_i | B_j, {i, j}) of every positive pair (i < j).
+    live = [
+        (beliefs[i] & beliefs[j], beliefs[i] | beliefs[j], (1 << i) | (1 << j))
+        for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(matrix.m, 1))))
+    ]
+    remaining = (1 << n) - 1
     groups = []
-    while len(remaining) >= 2:
-        best_size = -1
-        best = None
-        for i in sorted(remaining):
-            for j in sorted(remaining):
-                if j <= i or m[i][j] != 1:
-                    continue
-                size = len(beliefs[i] & beliefs[j] & remaining)
-                if size > best_size:
-                    best_size = size
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
+    while live:
+        sizes = [(agree & remaining).bit_count() for agree, _, _ in live]
+        agree, either, ends = live[sizes.index(max(sizes))]
         if mode == "union":
-            emitted = (beliefs[i] | beliefs[j]) & remaining
+            emitted = either & remaining
         else:
-            emitted = (beliefs[i] & beliefs[j] & remaining) | {i, j}
-        groups.append(frozenset(matrix.ids[k] for k in emitted))
-        remaining -= emitted
+            emitted = (agree & remaining) | ends
+        groups.append(frozenset(matrix.ids[k] for k in _members(emitted)))
+        remaining &= ~emitted
+        live = [pair for pair in live if not pair[2] & emitted]
     return GroupSet(groups=tuple(groups))
 
 
-def detect(model: TrainedModel, frame: Frame, mode: str = "intersection") -> GroupSet:
-    """Classify all pairs in a frame and reconstruct its groups."""
-    return greedy_reconstruct(build_relation_matrix(model, frame), mode=mode)
+def detect(
+    model: TrainedModel, frames: Frame | Sequence[Frame], mode: str = "intersection"
+) -> GroupSet | list[GroupSet]:
+    """Classify all pairs of a frame and reconstruct its groups.
+
+    Given a sequence of frames, returns one GroupSet per frame; their
+    relation matrices come from one ``build_relation_matrix`` call, which
+    scores every pair of every frame at once.
+    """
+    _check_mode(mode)
+    matrices = build_relation_matrix(model, frames)
+    if isinstance(matrices, RelationMatrix):
+        return greedy_reconstruct(matrices, mode=mode)
+    return [greedy_reconstruct(matrix, mode=mode) for matrix in matrices]

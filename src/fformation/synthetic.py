@@ -124,7 +124,7 @@ def load_synth_config(path: str | os.PathLike) -> SynthConfig:
         raise DatasetFormatError(f"{path}: expected a JSON object")
     try:
         return SynthConfig.from_dict(doc)
-    except (ValueError, TypeError, AttributeError) as exc:
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 
 

@@ -1393,3 +1393,31 @@ def test_load_model_rejects_malformed_documents(tmp_path):
     path.write_text("[1,2,3]", encoding="utf-8")
     with pytest.raises(ModelFormatError, match="object"):
         load_model(path)
+
+
+# A JSON integer of 401 digits: valid JSON, but too large for a float.
+HUGE = int("9" * 401)
+
+
+@pytest.mark.parametrize(
+    "kind, keys",
+    [
+        ("logreg", ("params", "coef", 1)),
+        ("logreg", ("scaling", "mean", 0)),
+        ("trees", ("scaling", "std", 1)),
+        ("knn", ("params", "points", 2, 0)),
+        ("trees", ("params", "trees", 0, "threshold", 0)),
+        ("trees", ("params", "trees", 0, "value", -1)),
+    ],
+)
+def test_load_model_rejects_a_number_too_large_for_a_float(tmp_path, kind, keys):
+    model = train(separable_samples(40, seed=15), kind=kind, hyperparams=None, seed=0)
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = HUGE
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ModelFormatError, match="malformed model document: .*too large"):
+        load_model(path)

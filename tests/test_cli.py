@@ -225,3 +225,21 @@ def test_evaluate_mismatched_frames_fails(tmp_path, corpus, capsys):
     rc = main(["evaluate", "--detections", str(corpus), "--truth", str(other)])
     assert rc == 1
     assert "do not align" in capsys.readouterr().err
+
+
+def test_detect_an_empty_dataset_and_reject_a_huge_coordinate(tmp_path, corpus, capsys):
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(corpus), "--kind", "logreg", "--out", str(model)]) == 0
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"schema_version": 1, "frames": []}), encoding="utf-8")
+    out = tmp_path / "detected.json"
+    assert main(["detect", "--model", str(model), "--data", str(empty), "--out", str(out)]) == 0
+    assert len(load_canonical(out)) == 0
+
+    doc = json.loads(corpus.read_text(encoding="utf-8"))
+    doc["frames"][1]["agents"][0]["x"] = int("9" * 401)
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["detect", "--model", str(model), "--data", str(huge), "--out", str(out)]) == 1
+    assert "frame entry 1, agent entry 0" in capsys.readouterr().err

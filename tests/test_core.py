@@ -10,6 +10,7 @@ from fformation.core import (
     AgentPose,
     Frame,
     GroupSet,
+    PairSample,
     RelationMatrix,
     ValidationError,
     check_groups,
@@ -138,3 +139,27 @@ def test_relation_matrix_copies_input():
     rm = RelationMatrix(ids=(1, 2, 3), m=src)
     src[0, 1] = 1
     assert rm.m[0, 1] == 0
+
+
+def test_slotted_core_types_survive_pickle_deepcopy_and_replace():
+    import copy
+    import dataclasses
+    import pickle
+
+    pose = AgentPose.make(3, 0.5, -1.25, 1.0, head_theta=2.0)
+    frame = Frame(
+        frame_id=7,
+        agents=(pose, AgentPose.make(4, 1.0, 0.0, 3.0)),
+        timestamp=1.5,
+        truth=GroupSet.from_iterable([[3, 4]]),
+    )
+    sample = PairSample(id_a=3, id_b=4, distance=0.75, effort_angle=0.5, label=1)
+    for value in (pose, frame, sample):
+        assert not hasattr(value, "__dict__")
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+    assert dataclasses.replace(pose, x=2.0) == AgentPose.make(3, 2.0, -1.25, 1.0, head_theta=2.0)
+    assert dataclasses.replace(frame, truth=None).agents == frame.agents
+    assert dataclasses.replace(sample, label=0).label == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        pose.x = 1.0

@@ -249,3 +249,31 @@ def test_split_frames():
     for bad in (0.0, 1.0, -0.3, 2.0):
         with pytest.raises(ValueError):
             split_frames(frames, bad)
+
+
+# A JSON integer of 401 digits: valid JSON, but too large for a float.
+HUGE = int("9" * 401)
+
+
+def _one_frame_doc():
+    agent = {"id": 1, "x": 0.5, "y": 0.25, "body_theta": 1.0, "head_theta": 2.0}
+    return {"schema_version": 1, "frames": [{"frame_id": 6, "timestamp": 1.0, "agents": [agent]}]}
+
+
+@pytest.mark.parametrize("field", ["x", "y", "body_theta", "head_theta"])
+def test_load_canonical_rejects_an_agent_number_too_large_for_a_float(tmp_path, field):
+    doc = _one_frame_doc()
+    doc["frames"][0]["agents"][0][field] = HUGE
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="frame entry 0, agent entry 0: .*too large"):
+        load_canonical(path)
+
+
+def test_load_canonical_rejects_a_timestamp_too_large_for_a_float(tmp_path):
+    doc = _one_frame_doc()
+    doc["frames"][0]["timestamp"] = HUGE
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="frame entry 0: timestamp: .*too large"):
+        load_canonical(path)

@@ -3,11 +3,14 @@
 import cmath
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from fformation.core import AgentPose, Frame, GroupSet, ValidationError
-from fformation.features import distance, effort_angle, pairwise_deconstruct
+from fformation.features import distance, effort_angle, pair_features, pairwise_deconstruct
+from fformation.synthetic import SynthConfig, generate_synthetic
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,3 +152,104 @@ def test_pairwise_deconstruct_features_match_direct_computation():
         a, b = poses[s.id_a], poses[s.id_b]
         assert s.distance == distance(a, b)
         assert s.effort_angle == effort_angle(a, b)
+
+
+# ------------------------------------------------ batched pair features
+
+
+def scalar_pair_rows(frames):
+    """(offsets, i, j, X) built pair by pair from distance and effort_angle."""
+    offsets, i, j, rows = [0], [], [], []
+    for frame in frames:
+        agents = sorted(frame.agents, key=lambda a: a.agent_id)
+        for p in range(len(agents)):
+            for q in range(p + 1, len(agents)):
+                i.append(p)
+                j.append(q)
+                rows.append([distance(agents[p], agents[q]), effort_angle(agents[p], agents[q])])
+        offsets.append(len(rows))
+    return offsets, i, j, np.array(rows, dtype=np.float64).reshape(-1, 2)
+
+
+def assert_bit_identical_pair_rows(frames):
+    offsets, i, j, X = pair_features(frames)
+    want_offsets, want_i, want_j, want_X = scalar_pair_rows(frames)
+    assert offsets.tolist() == want_offsets
+    assert i.tolist() == want_i and j.tolist() == want_j
+    assert X.dtype == np.float64 and X.shape == want_X.shape
+    assert np.array_equal(X.view(np.int64), want_X.view(np.int64))
+
+
+def test_pair_features_equal_the_scalar_features_on_the_corpus():
+    # The benchmark's corpus: 2000 training frames (64.9k pairs) and 500
+    # evaluation frames.
+    train = generate_synthetic(SynthConfig(n_frames=2000, seed=0)).frames
+    assert_bit_identical_pair_rows(train)
+    assert_bit_identical_pair_rows(generate_synthetic(SynthConfig(n_frames=500, seed=2)).frames)
+
+
+def test_pair_features_equal_the_scalar_features_on_a_crowd_scene():
+    config = SynthConfig(
+        n_frames=1, groups_per_frame=(45, 45), n_distractors=50, area=(60.0, 60.0), seed=2
+    )
+    scene = generate_synthetic(config).frames
+    assert len(scene[0].agents) > 150
+    assert_bit_identical_pair_rows(scene)
+
+
+def test_pair_features_equal_the_scalar_features_on_axis_aligned_pairs():
+    # Offsets of +0 and -0 give bearings of pi and -pi: both offsets of a
+    # pair must be computed, not one negated. A heading just below 2*pi
+    # less a bearing of -pi comes close to 3*pi, where the wrap subtracts
+    # 2*pi without a fmod.
+    rng = random.Random(5)
+    grid = [(float(x), float(y)) for x in (-1, 0, 2) for y in (-3, 0, 1)] + [(-0.0, -0.0)]
+    headings = [0.0, math.pi, math.nextafter(TWO_PI, 0.0)]
+    frames = [
+        Frame(
+            frame_id=k,
+            agents=tuple(
+                pose(10 - n, x, y, rng.choice([*headings, rng.uniform(0, TWO_PI)]))
+                for n, (x, y) in enumerate(rng.sample(grid, rng.randint(0, len(grid))))
+            ),
+        )
+        for k in range(40)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # (0, 0) and (-0, -0) coincide
+        assert_bit_identical_pair_rows(frames)
+
+
+def test_pair_features_of_no_frames_and_of_frames_without_pairs():
+    offsets, i, j, X = pair_features([])
+    assert offsets.tolist() == [0] and len(i) == len(j) == 0 and X.shape == (0, 2)
+    empty, one = Frame(frame_id=0, agents=()), Frame(frame_id=1, agents=(pose(4, 0, 0, 0),))
+    offsets, i, j, X = pair_features([empty, one, _circle_frame(3), empty])
+    assert offsets.tolist() == [0, 0, 0, 3, 3]
+    assert i.tolist() == [0, 0, 1] and j.tolist() == [1, 2, 2] and X.shape == (3, 2)
+
+
+def test_pair_features_coincident_positions_score_zero_with_one_warning_per_pair():
+    frames = [
+        Frame(frame_id=0, agents=(pose(3, 1, 1, 0.3), pose(1, 1, 1, 2.0), pose(2, 1, 1, 4.0))),
+        Frame(frame_id=1, agents=(pose(5, 0.0, 0.0, 1.0), pose(6, -0.0, 0.0, 2.0))),
+        Frame(frame_id=2, agents=(pose(1, 0, 0, 0.0), pose(2, 2, 0, 3.0))),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, _, _, X = pair_features(frames)
+    messages = [str(w.message) for w in caught]
+    assert all(w.category is RuntimeWarning for w in caught)
+    assert messages == [
+        f"agents {a} and {b} share a position; effort angle defaulted to 0"
+        for a, b in ((1, 2), (1, 3), (2, 3), (5, 6))
+    ]
+    assert X[:4].tolist() == [[0.0, 0.0]] * 4
+    assert X[4, 1] == effort_angle(frames[2].agents[0], frames[2].agents[1]) > 0.0
+
+
+def test_pair_features_name_an_invalid_frame():
+    good = _circle_frame(3)
+    bad = Frame(frame_id=42, agents=(pose(1, 0, 0, 0), AgentPose(1, 1.0, 0.0, 0.0)))
+    with pytest.raises(ValidationError, match="frame 42: duplicate agent id 1"):
+        pair_features([good, bad])

@@ -7,9 +7,9 @@ import random
 import numpy as np
 import pytest
 
-from fformation.core import AgentPose, Frame, GroupSet, RelationMatrix
-from fformation.classifiers import train
-from fformation.features import pairwise_deconstruct
+from fformation.core import AgentPose, Frame, GroupSet, RelationMatrix, ValidationError
+from fformation.classifiers import build_relation_matrix, predict_batch, train
+from fformation.features import distance, effort_angle, pairwise_deconstruct
 from fformation.reconstruction import belief_set, detect, greedy_reconstruct
 from fformation.synthetic import SynthConfig, generate_synthetic
 
@@ -282,3 +282,123 @@ def test_detect_equals_composition():
         direct = detect(model, f)
         composed = greedy_reconstruct(build_relation_matrix(model, f))
         assert direct.groups == composed.groups
+
+
+def noisy_cliques(rng, n, n_groups, p_flip):
+    """Disjoint cliques over n agents with a share p_flip of entries flipped."""
+    member = rng.integers(0, n_groups, size=n)
+    m = member[:, None] == member[None, :]
+    flips = np.triu(rng.random((n, n)) < p_flip, 1)
+    m = (m ^ (flips | flips.T)).astype(np.uint8)
+    np.fill_diagonal(m, 1)
+    return m
+
+
+@pytest.mark.parametrize("mode", ["intersection", "union"])
+def test_greedy_matches_oracle_beyond_one_machine_word(mode):
+    # Belief rows of more than 64 agents span several words of packed bits.
+    rng = np.random.default_rng(25)
+    for n in (65, 71, 128, 200):
+        for n_groups, p_flip in ((n // 3, 0.01), (n // 5, 0.03), (2, 0.0)):
+            ids = tuple(range(1000, 1000 - 3 * n, -3))[::-1]  # ascending, not consecutive
+            m = noisy_cliques(rng, n, n_groups, p_flip)
+            got = greedy_reconstruct(matrix(ids, m), mode=mode).groups
+            assert list(got) == oracle_greedy(ids, m.tolist(), mode), (n, n_groups, p_flip)
+
+
+# ------------------------------------------------ detection of many frames
+
+
+@pytest.fixture(scope="module")
+def models():
+    ds = generate_synthetic(SynthConfig(n_frames=60, seed=31))
+    samples = [s for f in ds.frames for s in pairwise_deconstruct(f)]
+    return {kind: train(samples, kind=kind, seed=0) for kind in ("knn", "trees", "logreg")}
+
+
+def mixed_frames():
+    """Frames of 0 and 1 agents, coincident agents, unsorted ids, a crowd
+    of more than 64 agents, and ordinary scenes, with repeated frame ids."""
+    crowd = generate_synthetic(
+        SynthConfig(n_frames=1, groups_per_frame=(16, 16), n_distractors=20, area=(40.0, 40.0),
+                    seed=33)
+    ).frames[0]
+    assert len(crowd.agents) > 64
+    scenes = generate_synthetic(SynthConfig(n_frames=12, seed=34)).frames
+    unsorted = Frame(frame_id=90, agents=tuple(reversed(scenes[0].agents)))
+    shuffled = list(scenes[1].agents)
+    random.Random(35).shuffle(shuffled)
+    coincident = Frame(
+        frame_id=91,
+        agents=(
+            AgentPose.make(7, 1.0, 1.0, 0.0),
+            AgentPose.make(3, 1.0, 1.0, math.pi),
+            AgentPose.make(5, 1.5, 1.0, math.pi),
+            AgentPose.make(9, 6.0, 6.0, 2.0),
+        ),
+    )
+    return [
+        Frame(frame_id=80, agents=()),
+        Frame(frame_id=81, agents=(AgentPose.make(4, 0.0, 0.0, 0.0),)),
+        coincident,
+        unsorted,
+        Frame(frame_id=92, agents=tuple(shuffled)),
+        crowd,
+        *scenes,
+        scenes[2],
+    ]
+
+
+def reference_relation_matrix(model, frame):
+    """The relation matrix filled pair by pair from the scalar features."""
+    poses = sorted(frame.agents, key=lambda a: a.agent_id)
+    n = len(poses)
+    m = np.eye(n, dtype=np.uint8)
+    for i in range(n):
+        for j in range(i + 1, n):
+            X = [[distance(poses[i], poses[j]), effort_angle(poses[i], poses[j])]]
+            m[i, j] = m[j, i] = predict_batch(model, X)[0][0]
+    return tuple(a.agent_id for a in poses), m
+
+
+@pytest.mark.filterwarnings("ignore:agents 3 and 7 share a position")
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_relation_matrices_of_many_frames_equal_those_of_one_frame(models, kind):
+    model, frames = models[kind], mixed_frames()
+    batch = build_relation_matrix(model, frames)
+    assert isinstance(batch, list) and len(batch) == len(frames)
+    for frame, got in zip(frames, batch):
+        one = build_relation_matrix(model, frame)
+        assert isinstance(one, RelationMatrix)
+        assert got.ids == one.ids and np.array_equal(got.m, one.m)
+        if len(frame.agents) < 30:
+            ids, m = reference_relation_matrix(model, frame)
+            assert got.ids == ids and np.array_equal(got.m, m)
+
+
+@pytest.mark.filterwarnings("ignore:agents 3 and 7 share a position")
+@pytest.mark.parametrize("mode", ["intersection", "union"])
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_detect_on_many_frames_equals_detect_on_each(models, kind, mode):
+    model, frames = models[kind], mixed_frames()
+    batch = detect(model, frames, mode=mode)
+    assert isinstance(batch, list)
+    assert [gs.groups for gs in batch] == [detect(model, f, mode=mode).groups for f in frames]
+    assert any(len(gs) > 0 for gs in batch)
+    assert [gs.groups for gs in detect(model, iter(tuple(frames)), mode=mode)] == [
+        gs.groups for gs in batch]
+
+
+def test_detect_on_no_frames(models):
+    assert detect(models["knn"], []) == []
+    assert detect(models["trees"], ()) == []
+    assert build_relation_matrix(models["logreg"], []) == []
+    with pytest.raises(ValueError, match="unknown mode"):
+        detect(models["logreg"], [], mode="both")
+
+
+def test_detect_names_an_invalid_frame_of_a_batch(models):
+    frames = generate_synthetic(SynthConfig(n_frames=3, seed=36)).frames
+    bad = Frame(frame_id=77, agents=(AgentPose.make(1, 0, 0, 0), AgentPose(2, math.nan, 0.0, 0.0)))
+    with pytest.raises(ValidationError, match="frame 77: agent 2 has non-finite position"):
+        detect(models["knn"], [*frames, bad])

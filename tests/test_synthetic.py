@@ -6,7 +6,7 @@ import pytest
 
 from fformation.characterization import symmetry, tightness
 from fformation.core import validate_frame
-from fformation.datasets import save_canonical
+from fformation.datasets import DatasetFormatError, save_canonical
 from fformation.features import effort_angle, pairwise_deconstruct
 from fformation.synthetic import (
     PlacementError,
@@ -143,4 +143,11 @@ def test_config_unknown_field_rejected(tmp_path):
     path = tmp_path / "config.json"
     path.write_text('{"n_frames": 5, "wind_speed": 3}', encoding="utf-8")
     with pytest.raises(Exception, match="wind_speed"):
+        load_synth_config(path)
+
+
+def test_config_number_too_large_for_a_float_is_a_format_error(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text('{"tightness_mean_per_size": {"2": 1%s}}' % ("0" * 400), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="too large"):
         load_synth_config(path)
