@@ -12,6 +12,18 @@ threshold) candidate. A node splits whenever it is impure, depth allows,
 and some candidate respects the minimum leaf size; zero-gain splits are
 allowed so consistent data can always be driven to pure leaves.
 
+Growth makes no arrays per node. ``fit`` allocates one workspace for
+its call, sized to the training set: a tree's drawn rows in feature
+order, and buffers whose fronts hold, for one feature of the node being
+split at a time, the gathered values, cumulative counts, Gini terms,
+scores and masks, written in place with ``out=``. The in-place
+arithmetic performs the same IEEE operations in the same order as the
+plain expressions, so every score and every chosen split is the same.
+The split feature's order needs no partition, since the left child's
+rows are a prefix of it; only the other feature's order is partitioned,
+into a workspace buffer (``compress`` still lists the kept positions
+internally).
+
 Scoring walks every tree at once. ``ForestParams`` fuses the trees into
 one set of node arrays in which each leaf loops back to itself, so a
 (trees x rows) matrix of nodes takes the same number of steps, the
@@ -91,8 +103,43 @@ class ForestParams:
         set_(self, "depth", max(level))
 
 
+class _Workspace:
+    """Scratch arrays for growing trees on ``n`` rows of ``n_features`` features.
+
+    ``fit`` makes one for its call, so concurrent fits share nothing.
+    Every per-node temporary of ``_best_split`` and ``_grow`` is the front
+    of one of these buffers; a node scores one feature at a time, so each
+    buffer holds one feature's rows.
+    """
+
+    def __init__(self, n_features: int, n: int) -> None:
+        self.order = np.empty((n_features, n), dtype=np.intp)  # a tree's drawn rows
+        self.pos = np.empty(n, dtype=np.intp)  # each row's positive copies
+        self.ints = np.empty((2, n), dtype=np.intp)
+        self.floats = np.empty((5, n), dtype=np.float64)
+        self.bools = np.empty((2, n), dtype=bool)
+
+
+def _weighted_gini(size: np.ndarray, pos: np.ndarray, out: np.ndarray, term: np.ndarray) -> None:
+    """``size * (1 - (pos / size)**2 - ((size - pos) / size)**2)`` into ``out``,
+    one operation at a time in that order; ``term`` is scratch."""
+    np.divide(pos, size, out=out)
+    np.square(out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.subtract(size, pos, out=term)
+    np.divide(term, size, out=term)
+    np.square(term, out=term)
+    np.subtract(out, term, out=out)
+    np.multiply(size, out, out=out)
+
+
 def _best_split(
-    cols: np.ndarray, counts: np.ndarray, pos: np.ndarray, order: np.ndarray, min_leaf: int
+    cols: np.ndarray,
+    counts: np.ndarray,
+    pos: np.ndarray,
+    order: np.ndarray,
+    min_leaf: int,
+    ws: _Workspace,
 ):
     """Lowest weighted-Gini split of a node, or None when no candidate is valid.
 
@@ -101,47 +148,91 @@ def _best_split(
     boundaries between distinct values are candidates, and there the
     cumulative counts equal those of the copies laid out one by one, so
     every score, and the first minimum, is what the copies would give.
-    Returns (feature, threshold, rows on the left of ``order[feature]``).
+    Returns (feature, threshold, rows on the left of ``order[feature]``,
+    copies on the left, positive copies on the left). Every temporary is
+    a view into ``ws``.
     """
-    xs = np.take_along_axis(cols, order, axis=1)
-    sizes_l = np.cumsum(counts[order], axis=1)
-    pos_l = np.cumsum(pos[order], axis=1)
-    n = int(sizes_l[0, -1])
-    total_pos = float(pos_l[0, -1])
-    sizes_l = sizes_l[:, :-1].astype(np.float64)
-    pos_l = pos_l[:, :-1].astype(np.float64)
-    sizes_r = n - sizes_l
-    valid = (xs[:, 1:] > xs[:, :-1]) & (sizes_l >= min_leaf) & (sizes_r >= min_leaf)
-    if not valid.any():
+    m = order.shape[1]
+    xs, ci, pi = ws.floats[0, :m], ws.ints[0, :m], ws.ints[1, :m]
+    best = None
+    for f in range(order.shape[0]):
+        # mode="clip" writes straight into ``out``, where the default
+        # "raise" fills a temporary first; every index is in range.
+        cols[f].take(order[f], out=xs, mode="clip")
+        counts.take(order[f], out=ci, mode="clip")
+        pos.take(order[f], out=pi, mode="clip")
+        ci.cumsum(out=ci)
+        pi.cumsum(out=pi)
+        n = int(ci[-1])
+        # Left sizes never fall, so the boundaries whose sides both hold
+        # min_leaf copies form one range [lo, hi).
+        lo = int(ci[:-1].searchsorted(min_leaf))
+        hi = int(ci[:-1].searchsorted(n - min_leaf, side="right"))
+        if lo >= hi:
+            continue
+        k = hi - lo
+        valid = ws.bools[0, :k]
+        np.greater(xs[lo + 1 : hi + 1], xs[lo:hi], out=valid)
+        if not valid.any():
+            continue
+        sizes_l, sizes_r, pos_side, term = (ws.floats[j, :k] for j in range(1, 5))
+        score = xs[:k]  # the gathered values are spent
+        np.copyto(sizes_l, ci[lo:hi])
+        np.subtract(n, sizes_l, out=sizes_r)
+        np.copyto(pos_side, pi[lo:hi])
+        _weighted_gini(sizes_l, pos_side, score, term)
+        np.subtract(float(pi[-1]), pos_side, out=pos_side)
+        right = sizes_l  # spent too
+        _weighted_gini(sizes_r, pos_side, right, term)
+        np.add(score, right, out=score)
+        np.divide(score, n, out=score)
+        np.logical_not(valid, out=valid)
+        np.copyto(score, np.inf, where=valid)
+        i = int(np.argmin(score))
+        # Strictly lower only: ties keep the lower feature, and argmin the
+        # lower threshold.
+        if best is None or score[i] < best[0]:
+            best = (float(score[i]), f, lo + i, int(ci[lo + i]), int(pi[lo + i]))
+    if best is None:
         return None
-    pos_r = total_pos - pos_l
-    gini_l = 1.0 - (pos_l / sizes_l) ** 2 - ((sizes_l - pos_l) / sizes_l) ** 2
-    gini_r = 1.0 - (pos_r / sizes_r) ** 2 - ((sizes_r - pos_r) / sizes_r) ** 2
-    score = (sizes_l * gini_l + sizes_r * gini_r) / n
-    score[~valid] = np.inf
-    # Row-major argmin: the lowest feature, then the lowest threshold.
-    f, i = divmod(int(np.argmin(score)), score.shape[1])
-    lower, upper = float(xs[f, i]), float(xs[f, i + 1])
+    _, f, i, n_l, n_pos_l = best
+    lower, upper = float(cols[f, order[f, i]]), float(cols[f, order[f, i + 1]])
     threshold = 0.5 * (lower + upper)
     # The midpoint can round onto the upper value; fall back to the exact
     # lower value so the partition matches the scan.
     if not lower <= threshold < upper:
         threshold = lower
-    return f, threshold, i + 1
+    return f, threshold, i + 1, n_l, n_pos_l
 
 
 def _grow(
-    cols: np.ndarray, y: np.ndarray, counts: np.ndarray, order: np.ndarray, max_depth, min_leaf: int
+    cols: np.ndarray,
+    y: np.ndarray,
+    counts: np.ndarray,
+    order: np.ndarray,
+    max_depth,
+    min_leaf: int,
+    ws: _Workspace,
 ) -> TreeArrays:
     """One tree grown on the rows with ``counts > 0``, row r counted ``counts[r]`` times.
 
     ``cols`` is (features, rows); ``order[f]`` lists every row sorted by
-    feature f, stably. Each node owns one slice of the rows kept in every
-    order; a split partitions that slice stably, so the children's slices
-    stay sorted and no node sorts.
+    feature f, stably. The drawn rows' orders go to ``ws.order``, where
+    each node owns one slice of every feature's order. A split feature's
+    slice is partitioned already; the other features' slices are
+    partitioned stably, so the children's slices stay sorted and no node
+    sorts.
     """
-    pos = counts * y
-    order = order[counts[order] > 0].reshape(order.shape[0], -1)
+    n_features, n = order.shape
+    pos = ws.pos[:n]
+    np.multiply(counts, y, out=pos)
+    drawn, picked = ws.bools[0, :n], ws.bools[1, :n]
+    np.greater(counts, 0, out=drawn)
+    kept = ws.order[:, : int(np.count_nonzero(drawn))]
+    for f in range(n_features):
+        drawn.take(order[f], out=picked, mode="clip")
+        order[f].compress(picked, out=kept[f])
+    order = kept
     feature: list[int] = []
     threshold: list[float] = []
     left: list[int] = []
@@ -164,18 +255,22 @@ def _grow(
         if pure or (max_depth is not None and depth >= max_depth) or n < 2 * min_leaf:
             continue
         rows = order[:, start:stop]
-        split = _best_split(cols, counts, pos, rows, min_leaf)
+        split = _best_split(cols, counts, pos, rows, min_leaf, ws)
         if split is None:
             continue
-        f, thr, n_rows_l = split
-        rows_l = rows[f, :n_rows_l]
-        n_l, n_pos_l = int(counts[rows_l].sum()), int(pos[rows_l].sum())
-        mask = cols[f][rows] <= thr
+        f, thr, n_rows_l, n_l, n_pos_l = split
+        m = stop - start
+        x, go_left, parted = ws.floats[0, :m], ws.bools[0, :m], ws.ints[0, :m]
+        for g in range(n_features):
+            if g == f:
+                continue
+            cols[f].take(rows[g], out=x, mode="clip")
+            np.less_equal(x, thr, out=go_left)
+            rows[g].compress(go_left, out=parted[:n_rows_l])
+            np.logical_not(go_left, out=go_left)
+            rows[g].compress(go_left, out=parted[n_rows_l:])
+            np.copyto(rows[g], parted)
         mid = start + n_rows_l
-        # Boolean indexing copies, so both halves are read before either is written.
-        parts = rows[mask], rows[~mask]
-        order[:, start:mid] = parts[0].reshape(-1, n_rows_l)
-        order[:, mid:stop] = parts[1].reshape(-1, stop - mid)
         feature[node] = f
         threshold[node] = thr
         left[node] = new_node(n_pos_l, n_l)
@@ -204,6 +299,7 @@ def fit(
     n = y.shape[0]
     cols = np.ascontiguousarray(np.asarray(Xs, dtype=np.float64).T)
     order = np.argsort(cols, axis=1, kind="stable")
+    ws = _Workspace(*cols.shape)
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
     trees = []
     for tree_seed in seeds:
@@ -211,8 +307,8 @@ def fit(
         if bootstrap:
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
         else:
-            counts = np.ones(n, dtype=np.int64)
-        trees.append(_grow(cols, y, counts, order, max_depth, min_leaf))
+            counts = np.ones(n, dtype=np.intp)
+        trees.append(_grow(cols, y, counts, order, max_depth, min_leaf, ws))
     return ForestParams(trees=tuple(trees))
 
 

@@ -147,7 +147,8 @@ class RelationMatrix:
     """n x n symmetric binary matrix of pairwise same-group predictions.
 
     Diagonal entries are all 1. ``ids`` lists the agent ids in row order
-    (ascending). The underlying array is write-locked on construction.
+    (ascending). The underlying array is write-locked on construction,
+    and pickled or copied matrices are built through the constructor too.
     """
 
     ids: tuple[int, ...]
@@ -167,6 +168,9 @@ class RelationMatrix:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
+
+    def __reduce__(self):
+        return (RelationMatrix, (self.ids, self.m))
 
     @property
     def n(self) -> int:

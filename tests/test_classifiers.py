@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 import threading
 
 import numpy as np
@@ -641,10 +642,13 @@ def assert_fit_matches_reference(Xs, y, **hyperparams):
 
 
 def _split(X, y, counts, min_leaf):
-    """trees._best_split on the rows of X, row r counted counts[r] times."""
+    """trees._best_split on the rows of X, row r counted counts[r] times:
+    (feature, threshold, rows on the left) or None, and the sorted order."""
     cols = np.ascontiguousarray(X.T)
     order = np.argsort(cols, axis=1, kind="stable")
-    return trees_mod._best_split(cols, counts, counts * y, order, min_leaf), order
+    ws = trees_mod._Workspace(*cols.shape)
+    got = trees_mod._best_split(cols, counts, counts * y, order, min_leaf, ws)
+    return (None if got is None else got[:3]), order
 
 
 def test_best_split_achieves_oracle_minimum():
@@ -692,6 +696,61 @@ def test_best_split_counts_each_row_as_its_copies():
         assert np.array_equal(np.sort(order[f, :n_left]), np.flatnonzero(X[:, f] <= thr)), trial
 
 
+def test_best_split_returns_the_copies_and_positives_on_the_left():
+    rng = np.random.default_rng(27)
+    for trial in range(60):
+        n = int(rng.integers(3, 40))
+        X = rng.normal(size=(n, 2)).round(1)
+        y = rng.integers(0, 2, size=n).astype(np.uint8)
+        counts = rng.integers(1, 4, size=n)
+        pos = counts * y
+        cols = np.ascontiguousarray(X.T)
+        order = np.argsort(cols, axis=1, kind="stable")
+        got = trees_mod._best_split(
+            cols, counts, pos, order, int(rng.integers(1, 4)), trees_mod._Workspace(2, n))
+        if got is None:
+            continue
+        f, _, n_rows_l, n_l, n_pos_l = got
+        rows_l = order[f, :n_rows_l]
+        assert (n_l, n_pos_l) == (counts[rows_l].sum(), pos[rows_l].sum()), trial
+        assert type(n_l) is int and type(n_pos_l) is int
+
+
+def _poisoned_workspace(n_features, n):
+    """A workspace whose every buffer holds values that would change a
+    split if any of them were read before being written."""
+    ws = trees_mod._Workspace(n_features, n)
+    for buf, junk in ((ws.order, n - 1), (ws.pos, 10**6), (ws.ints, 10**6),
+                      (ws.floats, -1.0), (ws.bools, True)):
+        buf.fill(junk)
+    ws.floats[:, ::3] = np.nan
+    return ws
+
+
+def test_growth_ignores_stale_workspace_contents():
+    rng = np.random.default_rng(28)
+    Xs = rng.normal(size=(300, 2)).round(2)
+    y = rng.integers(0, 2, size=300).astype(np.uint8)
+    cols = np.ascontiguousarray(Xs.T)
+    order = np.argsort(cols, axis=1, kind="stable")
+    counts = np.ones(y.shape[0], dtype=np.intp)
+    want = reference_grow(Xs, y, max_depth=None, min_leaf=1)
+    # One workspace for both trees: the second starts on what the first left.
+    ws = _poisoned_workspace(*cols.shape)
+    for _ in range(2):
+        got = trees_mod._grow(cols, y, counts, order, max_depth=None, min_leaf=1, ws=ws)
+        assert got.feature.shape[0] > 50
+        for name in TREE_ARRAYS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # A small node's split read from buffers a large one filled first.
+    big, small = _split(Xs, y, counts, 1), _split(Xs[:9], y[:9], counts[:9], 1)
+    ws = _poisoned_workspace(*cols.shape)
+    trees_mod._best_split(cols, counts, counts * y, big[1], 1, ws)
+    small_cols = np.ascontiguousarray(Xs[:9].T)
+    again = trees_mod._best_split(small_cols, counts[:9], counts[:9] * y[:9], small[1], 1, ws)
+    assert again[:3] == small[0]
+
+
 def test_single_deep_tree_fits_consistent_data_exactly():
     # XOR labels need zero-gain splits to be taken; depth-2 solves it.
     samples = make_samples([(0.0, 0.0, 0), (0.0, 1.0, 1), (1.0, 0.0, 1), (1.0, 1.0, 0)])
@@ -725,7 +784,8 @@ def test_tree_growth_respects_min_leaf():
     bootstrap = np.bincount(rng.integers(0, 200, size=200), minlength=200)
     for counts in (np.ones(200, dtype=np.int64), bootstrap):
         order = np.argsort(cols, axis=1, kind="stable")
-        tree = trees_mod._grow(cols, y, counts, order, max_depth=None, min_leaf=min_leaf)
+        ws = trees_mod._Workspace(*cols.shape)
+        tree = trees_mod._grow(cols, y, counts, order, max_depth=None, min_leaf=min_leaf, ws=ws)
         # Walk training points down the tree; every split side must hold >= min_leaf.
         reached = {0: np.flatnonzero(counts)}
         for node in range(len(tree.feature)):
@@ -755,6 +815,35 @@ def test_trees_learn_separable_data():
     assert pairwise_accuracy(model, samples) >= 0.97
 
 
+def _noisy_samples(n, seed):
+    rng = random.Random(seed)
+    rows = [(rng.uniform(0, 5), rng.uniform(0, 6), int(rng.random() < 0.3)) for _ in range(n)]
+    return make_samples(rows)
+
+
+def test_concurrent_trees_training_matches_sequential_fits():
+    sets = [_noisy_samples(3000, seed=30), _noisy_samples(1700, seed=31)]
+    want = [model_to_dict(train(samples, kind="trees", seed=1)) for samples in sets]
+    got = [None, None]
+
+    def run(i):
+        got[i] = model_to_dict(train(sets[i], kind="trees", seed=1))
+
+    workers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
 @pytest.fixture(scope="module")
 def corpus_frames():
     """The criterion-5 training frames: 2000 frames, about 65k pairs."""
@@ -770,6 +859,29 @@ def test_growth_matches_reference_on_a_corpus_sized_forest(corpus_frames):
     Xs, y = _standardized(corpus_frames)
     assert y.shape[0] >= 60_000
     assert_fit_matches_reference(Xs, y, **DEFAULT_HYPERPARAMS["bagged_trees"])
+
+
+def test_growth_of_different_sizes_back_to_back_matches_the_reference(corpus_frames):
+    big_X, big_y = _standardized(corpus_frames)
+    rng = np.random.default_rng(29)
+    small_X = rng.normal(size=(200, 2))
+    small_y = rng.integers(0, 2, size=200).astype(np.uint8)
+    assert big_y.shape[0] >= 60_000
+    hp = {"seed": 3, "n_trees": 2, "max_depth": 12, "min_leaf": 5, "bootstrap": True}
+    want_big = reference_fit(big_X, big_y, **hp)
+    # The small fit grows to pure leaves, so its deep nodes reuse only the
+    # fronts of buffers that its own root filled.
+    deep = dict(hp, max_depth=None, min_leaf=1)
+    want_small = reference_fit(small_X, small_y, **deep)
+    for X, y, params, want in ((big_X, big_y, hp, want_big), (small_X, small_y, deep, want_small),
+                               (big_X, big_y, hp, want_big)):
+        got = trees_mod.fit(X, y, **params).trees
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            for name in TREE_ARRAYS:
+                assert np.array_equal(getattr(g, name), getattr(w, name)), name
+                assert getattr(g, name).dtype == getattr(w, name).dtype, name
+    assert max(t.feature.shape[0] for t in want_small) > 20
 
 
 def test_growth_matches_reference_across_hyperparameters():
@@ -1393,6 +1505,108 @@ def test_load_model_rejects_malformed_documents(tmp_path):
     path.write_text("[1,2,3]", encoding="utf-8")
     with pytest.raises(ModelFormatError, match="object"):
         load_model(path)
+
+
+def _load_and_score(doc, queries):
+    """None when loading rejects the document; else its scores from
+    ``predict_batch`` and from walking its node arrays tree by tree."""
+    try:
+        model = model_from_dict(doc)
+    except ModelFormatError:
+        return None
+    forest = [
+        trees_mod.TreeArrays(
+            feature=np.asarray(t["feature"]),
+            threshold=np.asarray(t["threshold"], dtype=np.float64),
+            left=np.asarray(t["left"]),
+            right=np.asarray(t["right"]),
+            value=np.asarray(t["value"], dtype=np.float64),
+        )
+        for t in doc["params"]["trees"]
+    ]
+    walked = reference_forest_scores(trees_mod.ForestParams(trees=tuple(forest)),
+                                     model.scaling.apply(queries))
+    return predict_batch(model, queries)[1], walked
+
+
+def _tree_document_mutations(trees, rng):
+    """Edits (tree, field or None for the whole tree, node or None for the
+    whole field, new value) of a model's tree documents, each with whether
+    it keeps every prediction: non-finite and huge thresholds, children
+    rewired backwards, onto their node or out of range, truncated node
+    arrays, and fields retyped to strings or lists."""
+    t = int(rng.integers(len(trees)))
+    tree = trees[t]
+    m = len(tree["feature"])
+    nodes = np.arange(m)
+    internal = int(rng.choice(nodes[np.array(tree["feature"]) >= 0]))
+    inner = int(rng.choice(nodes[1:][np.array(tree["feature"][1:]) >= 0]))
+    leaf = int(rng.choice(nodes[np.array(tree["feature"]) < 0]))
+    cases = []
+    for v in (math.nan, math.inf, -math.inf, 1e308, -1e308):
+        cases += [((t, "threshold", leaf, v), True), ((t, "threshold", internal, v), False)]
+    for name in ("left", "right"):
+        cases += [
+            ((t, name, inner, int(rng.integers(inner))), False),
+            ((t, name, internal, internal), False),
+            ((t, name, internal, m + int(rng.integers(3))), False),
+            ((t, name, internal, -2), False),
+            ((t, name, leaf, leaf), False),
+            ((t, name, leaf, int(rng.integers(m))), False),
+        ]
+    for name in TREE_ARRAYS:
+        a = tree[name]
+        cases += [
+            ((t, name, None, a[: int(rng.integers(m))]), False),
+            ((t, name, None, str(a)), False),
+            ((t, name, None, [[v] for v in a]), False),
+            ((t, name, internal, str(a[internal])), name in ("threshold", "value")),
+            ((t, name, leaf, [a[leaf]]), False),
+            ((t, name, leaf, None), False),
+        ]
+    k = int(rng.integers(1, m))
+    cases.append(((t, None, None, {name: a[:k] for name, a in tree.items()}), False))
+    cases.append(((t, None, None, list(tree.values())), False))
+    return cases
+
+
+def test_mutated_trees_documents_are_rejected_or_predict_as_their_trees_say():
+    # The roadmap asks that a mutated document be rejected or predict as the
+    # original did. A document with a finite threshold moved on a split node
+    # is a valid, different model, so an accepted document must predict as
+    # its own trees, walked one by one, say; and as the original where the
+    # edit changes no number a query can reach.
+    model = train(_noisy_samples(400, seed=32), kind="trees", hyperparams={"n_trees": 3}, seed=0)
+    text = json.dumps(model_to_dict(model))
+    queries = np.random.default_rng(32).uniform(-1.0, 7.0, size=(300, 2))
+    original = predict_batch(model, queries)[1]
+    rng = np.random.default_rng(33)
+    rejected = []
+    for round_ in range(3):
+        cases = _tree_document_mutations(json.loads(text)["params"]["trees"], rng)
+        for (t, name, node, value), keeps_predictions in cases:
+            doc = json.loads(text)
+            trees = doc["params"]["trees"]
+            if name is None:
+                trees[t] = value
+            elif node is None:
+                trees[t][name] = value
+            else:
+                trees[t][name][node] = value
+            doc = json.loads(json.dumps(doc))
+            outcome = finished_within(10.0, _load_and_score, doc, queries)
+            rejected.append(outcome is None)
+            if outcome is None:
+                continue
+            got, walked = outcome
+            where = (round_, t, name, node, value)
+            assert np.isfinite(got).all(), where
+            assert np.array_equal(got, walked), where
+            if keeps_predictions:
+                assert np.array_equal(got, original), where
+    # Most edits break the document; huge thresholds and numbers written as
+    # strings still load.
+    assert 0 < rejected.count(False) < rejected.count(True)
 
 
 # A JSON integer of 401 digits: valid JSON, but too large for a float.

@@ -141,6 +141,19 @@ def test_relation_matrix_copies_input():
     assert rm.m[0, 1] == 0
 
 
+def test_relation_matrix_copies_are_validated_and_write_locked():
+    import copy
+    import pickle
+
+    rm = RelationMatrix(ids=(2, 5, 9), m=np.array([[1, 1, 0], [1, 1, 0], [0, 0, 1]]))
+    for clone in (pickle.loads(pickle.dumps(rm)), copy.deepcopy(rm), copy.copy(rm)):
+        assert clone.ids == rm.ids
+        assert np.array_equal(clone.m, rm.m) and clone.m.dtype == rm.m.dtype
+        assert not clone.m.flags.writeable
+        with pytest.raises(ValueError):
+            clone.m[0, 2] = 1
+
+
 def test_slotted_core_types_survive_pickle_deepcopy_and_replace():
     import copy
     import dataclasses
