@@ -9,12 +9,13 @@ exactly when the score is >= 0.5.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from ..core import Frame, PairSample, RelationMatrix
-from ..features import pair_features
+from ..features import pair_features, pair_indices
 from .base import (
     DEFAULT_HYPERPARAMS,
     KIND_ALIASES,
@@ -108,16 +109,16 @@ def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) for an (n, 2) array of [distance, effort_angle] rows.
 
     Raises ValueError when the standardized inputs or the scores are not
-    finite: a finite input far beyond a tiny ``std`` can still overflow.
+    finite: a finite input far beyond a tiny ``std`` can still overflow, and
+    so can the logit of huge logreg coefficients.
     """
-    Xs = model.scaling.apply(np.atleast_2d(np.asarray(X, dtype=np.float64)))
+    Xs = model.scaling.apply(np.array(X, dtype=np.float64, ndmin=2))
     if not np.isfinite(Xs).all():
         raise ValueError("prediction inputs must be finite, also once standardized")
     scores = _raw_scores(model, Xs)
     if not np.isfinite(scores).all():
         raise ValueError("prediction scores must be finite")
-    labels = (scores >= DECISION_THRESHOLD).astype(np.uint8)
-    return labels, scores
+    return (scores >= DECISION_THRESHOLD).view(np.uint8), scores
 
 
 def predict(model: TrainedModel, distance: float, effort_angle: float) -> tuple[int, float]:
@@ -138,6 +139,19 @@ def pairwise_accuracy(model: TrainedModel, samples: Sequence[PairSample]) -> flo
     return float((labels == y).mean())
 
 
+@lru_cache(maxsize=32)
+def _cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For an n x n matrix flattened row-major, the read-only positions of
+    the pairs (i, j) and (j, i) of ``pair_indices(n)``, and the read-only
+    identity. The last 32 sizes asked for are kept."""
+    ij = pair_indices(n)
+    cells = n * ij + ij[::-1]
+    eye = np.eye(n, dtype=np.uint8).ravel()
+    cells.setflags(write=False)
+    eye.setflags(write=False)
+    return cells, eye
+
+
 def build_relation_matrix(
     model: TrainedModel, frames: Frame | Sequence[Frame]
 ) -> RelationMatrix | list[RelationMatrix]:
@@ -151,13 +165,13 @@ def build_relation_matrix(
     """
     single = isinstance(frames, Frame)
     batch = [frames] if single else list(frames)
-    offsets, i, j, X = pair_features(batch)
+    offsets, _, _, X = pair_features(batch)
     labels, _ = predict_batch(model, X)
     matrices = []
     for f, frame in enumerate(batch):
         ids = tuple(sorted(a.agent_id for a in frame.agents))
-        m = np.eye(len(ids), dtype=np.uint8)
-        rows = slice(offsets[f], offsets[f + 1])
-        m[i[rows], j[rows]] = m[j[rows], i[rows]] = labels[rows]
-        matrices.append(RelationMatrix(ids=ids, m=m))
+        cells, eye = _cells(len(ids))
+        m = eye.copy()
+        m[cells] = labels[offsets[f] : offsets[f + 1]]
+        matrices.append(RelationMatrix(ids=ids, m=m.reshape(len(ids), len(ids))))
     return matrices[0] if single else matrices

@@ -59,7 +59,21 @@ _HYPERPARAM_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "l2": _NON_NEGATIVE,
     "epochs": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
     "tol": _NON_NEGATIVE,
+    "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
+    "learning_rate": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
 }
+
+# Names a kind no longer takes. Model files written before may carry them;
+# they load, checked by their old rule, and are not used.
+RETIRED_HYPERPARAMS: dict[str, tuple[str, ...]] = {"logistic_regression": ("learning_rate",)}
+
+
+def hyperparam_problem(kind: str, key: str, value: Any) -> Optional[str]:
+    """Why ``key = value`` is no hyperparameter of the kind, or None."""
+    if key not in DEFAULT_HYPERPARAMS[kind] and key not in RETIRED_HYPERPARAMS.get(kind, ()):
+        return f"unknown hyperparameter {key!r} for kind {kind!r}"
+    test, accepted = _HYPERPARAM_RULES[key]
+    return None if test(value) else f"hyperparameter {key} must be {accepted}, got {value!r}"
 
 
 def resolve_hyperparams(kind: str, overrides: Optional[dict[str, Any]]) -> dict[str, Any]:
@@ -74,10 +88,9 @@ def resolve_hyperparams(kind: str, overrides: Optional[dict[str, Any]]) -> dict[
             raise ValueError(f"unknown hyperparameter {key!r} for kind {kind!r}")
         params[key] = value
     for key, value in params.items():
-        if key in _HYPERPARAM_RULES:
-            test, accepted = _HYPERPARAM_RULES[key]
-            if not test(value):
-                raise TrainingError(f"hyperparameter {key} must be {accepted}, got {value!r}")
+        problem = hyperparam_problem(kind, key, value)
+        if problem is not None:
+            raise TrainingError(problem)
     return params
 
 

@@ -30,7 +30,7 @@ class LogisticParams:
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-z)), from exp(-|z|) so that exp never overflows."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _logits(coef: np.ndarray, Xs: np.ndarray) -> np.ndarray:
@@ -100,5 +100,7 @@ def fit(Xs: np.ndarray, y: np.ndarray, l2: float, epochs: int, tol: float) -> Lo
 
 
 def scores(params: LogisticParams, Xs: np.ndarray) -> np.ndarray:
-    Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
-    return _sigmoid(_logits(params.coef, Xs))
+    """Positive-class probabilities; NaN where a logit overflows, which
+    ``predict_batch`` rejects."""
+    z = _logits(params.coef, np.atleast_2d(np.asarray(Xs, dtype=np.float64)))
+    return _sigmoid(z) + (z - z)  # z - z is +0, or NaN for an infinite z

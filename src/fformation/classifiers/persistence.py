@@ -8,17 +8,22 @@ from __future__ import annotations
 
 import json
 import os
+from itertools import chain
 from typing import Any
 
 import numpy as np
 
-from .base import FeatureScaling, TrainedModel, canonical_kind
+from .base import FeatureScaling, TrainedModel, canonical_kind, hyperparam_problem
 from .knn import KnnParams
 from .logreg import LogisticParams
 from .trees import ForestParams, TreeArrays
 
 FORMAT_NAME = "fformation-model"
 FORMAT_VERSION = 1
+
+
+_NUMBER = {int, float}  # JSON numbers; booleans and strings are not
+_INTEGER = {int}
 
 
 class ModelFormatError(ValueError):
@@ -65,16 +70,33 @@ def _check(ok, what: str) -> None:
         raise ModelFormatError(f"malformed model document: {what}")
 
 
-def _floats(values, what: str) -> np.ndarray:
+def _typed(items, types: set, what: str, accepted: str) -> None:
+    """Reject items of another type: numpy would parse the string "0.5" and
+    read true as 1. One pass of C-level calls, with no Python loop."""
+    _check(set(map(type, items)) <= types, f"{what} must be {accepted}")
+
+
+def _floats(values, what: str, rows: bool = False) -> np.ndarray:
+    """A list of numbers, or with ``rows`` a list of lists of numbers."""
+    _typed(chain.from_iterable(values) if rows else values, _NUMBER, what, "numbers")
     a = np.asarray(values, dtype=np.float64)
     _check(np.isfinite(a).all(), f"{what} must be finite")
     return a
 
 
 def _ints(values, what: str) -> np.ndarray:
+    _typed(values, _INTEGER, what, "a list of integers")
     a = np.asarray(values)
     _check(a.ndim == 1 and a.dtype.kind in "iu", f"{what} must be a list of integers")
     return a
+
+
+def _hyperparams(raw: dict[str, Any], kind: str) -> dict[str, Any]:
+    hyperparams = dict(raw)
+    for key, value in hyperparams.items():
+        problem = hyperparam_problem(kind, key, value)
+        _check(problem is None, problem)
+    return hyperparams
 
 
 def _scaling(raw: dict[str, Any]) -> FeatureScaling:
@@ -86,15 +108,13 @@ def _scaling(raw: dict[str, Any]) -> FeatureScaling:
 
 
 def _knn_params(raw: dict[str, Any], hyperparams: dict[str, Any]) -> KnnParams:
-    points = _floats(raw["points"], "knn points")
+    points = _floats(raw["points"], "knn points", rows=True)
     _check(points.ndim == 2 and points.shape[0] >= 1 and points.shape[1] == 2,
            "knn points must have shape (n, 2) with n >= 1")
     labels = _ints(raw["labels"], "knn labels")
     _check(labels.shape == (points.shape[0],), "knn needs one label per point")
     _check(np.isin(labels, (0, 1)).all(), "knn labels must be 0 or 1")
-    k = hyperparams["k"]
-    _check(isinstance(k, int) and not isinstance(k, bool) and k >= 1,
-           "hyperparams.k must be an integer >= 1")
+    _check("k" in hyperparams, "knn needs hyperparams.k")
     return KnnParams(points=points, labels=labels.astype(np.uint8))
 
 
@@ -104,7 +124,7 @@ def _tree(raw: dict[str, Any]) -> TreeArrays:
     left = _ints(raw["left"], "tree left")
     right = _ints(raw["right"], "tree right")
     threshold = _floats(raw["threshold"], "tree threshold")
-    value = np.asarray(raw["value"], dtype=np.float64)
+    value = _floats(raw["value"], "tree value")
     m = feature.shape[0]
     _check(m >= 1 and all(a.shape == (m,) for a in (left, right, threshold, value)),
            "tree arrays must be nonempty and of equal length")
@@ -128,9 +148,11 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
     """Rebuild a model from its document.
 
     Raises ModelFormatError for a wrong format or version, a missing or
-    mistyped field, a non-finite number or an integer too large for a
-    float, scaling without a positive std, kNN labels other than 0/1, a k
-    below 1, and tree arrays whose paths could fail to end in a leaf.
+    mistyped field (a string or a boolean where a number belongs, a seed
+    that is not an integer), a non-finite number or an integer too large
+    for a float, a hyperparameter the kind does not have or a value outside
+    its range, scaling without a positive std, kNN labels other than 0/1,
+    and tree arrays whose paths could fail to end in a leaf.
     """
     try:
         if doc.get("format") != FORMAT_NAME:
@@ -139,7 +161,8 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
             raise ModelFormatError(f"unsupported schema_version {doc.get('schema_version')!r}")
         kind = canonical_kind(doc["kind"])
         scaling = _scaling(doc["scaling"])
-        hyperparams = dict(doc["hyperparams"])
+        hyperparams = _hyperparams(doc["hyperparams"], kind)
+        _check(type(doc["seed"]) is int, "seed must be an integer")
         raw = doc["params"]
         if kind == "weighted_knn":
             params: Any = _knn_params(raw, hyperparams)
@@ -152,7 +175,7 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
         return TrainedModel(
             kind=kind,
             scaling=scaling,
-            seed=int(doc["seed"]),
+            seed=doc["seed"],
             hyperparams=hyperparams,
             params=params,
         )

@@ -155,17 +155,18 @@ class RelationMatrix:
     m: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.m, dtype=np.uint8)
+        m = np.array(self.m, dtype=np.uint8, order="C")  # a copy the caller cannot reach
         n = len(self.ids)
         if m.shape != (n, n):
             raise ValueError(f"matrix shape {m.shape} does not match {n} ids")
-        if not (m == m.T).all():
+        # The checks compare the entries as bytes, row-major.
+        cells = m.tobytes()
+        if cells != m.T.tobytes():
             raise ValueError("relation matrix must be symmetric")
-        if not (m.diagonal() == 1).all():
+        if cells[:: n + 1] != b"\1" * n:
             raise ValueError("relation matrix must have a unit diagonal")
-        if not (m <= 1).all():  # unsigned, so 0 or 1
+        if cells.translate(None, b"\0\1"):
             raise ValueError("relation matrix entries must be 0 or 1")
-        m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "m", m)
 

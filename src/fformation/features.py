@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import attrgetter
 from typing import Sequence
@@ -25,7 +26,14 @@ import numpy as np
 
 from .core import TWO_PI, Frame, PairSample, AgentPose, validate_frame
 
-__all__ = ["distance", "effort_angle", "pair_features", "pairwise_deconstruct"]
+__all__ = ["distance", "effort_angle", "pair_features", "pair_indices", "pairwise_deconstruct"]
+
+_BY_ID = attrgetter("agent_id")
+
+# Pairs whose features one pass computes. Beyond its result, a call holds
+# one index a pair and one pass, about 1.5 MB: most of it the Python float
+# lists that the per-element math calls read, 128 bytes a pair.
+_BLOCK_PAIRS = 1 << 12
 
 
 def _wrap_pi(theta: float) -> float:
@@ -68,6 +76,16 @@ def effort_angle(a: AgentPose, b: AgentPose) -> float:
     return _turn_toward(a, b) + _turn_toward(b, a)
 
 
+@lru_cache(maxsize=32)
+def pair_indices(n: int) -> np.ndarray:
+    """The pairs of n agents in the order :func:`pair_features` gives them:
+    a read-only (2, pairs) array of rows ``i`` and ``j``, i < j, row-major.
+    The last 32 sizes asked for are kept."""
+    pairs = np.array(np.triu_indices(n, 1))
+    pairs.setflags(write=False)
+    return pairs
+
+
 def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The pairs of many frames as arrays ``(offsets, i, j, X)``.
 
@@ -82,47 +100,45 @@ def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.n
     sizes = []
     for frame in frames:
         validate_frame(frame)
-        poses.extend(sorted(frame.agents, key=attrgetter("agent_id")))
+        poses += sorted(frame.agents, key=_BY_ID)
         sizes.append(len(frame.agents))
-    # Per frame size: the pairs (i, j), and for the turns a toward b and b
-    # toward a, their agents interleaved as (i0, j0, i1, ...) and (j0, i0, j1, ...).
-    upper = {}
-    for n in set(sizes):
-        i, j = np.nonzero(np.arange(n)[:, None] < np.arange(n))
-        upper[n] = i, j, np.column_stack((i, j)).ravel(), np.column_stack((j, i)).ravel()
-    none = [np.zeros(0, dtype=np.intp)]
-    i = np.concatenate([upper[n][0] for n in sizes] or none)
-    j = np.concatenate([upper[n][1] for n in sizes] or none)
-    offsets = np.fromiter(accumulate((n * (n - 1) // 2 for n in sizes), initial=0), np.intp)
-    starts = list(accumulate(sizes, initial=0))
-    ab = np.concatenate([upper[n][2] + start for n, start in zip(sizes, starts)] or none)
-    ba = np.concatenate([upper[n][3] + start for n, start in zip(sizes, starts)] or none)
-    x = np.array([p.x for p in poses], dtype=np.float64)
-    y = np.array([p.y for p in poses], dtype=np.float64)
-    theta = np.array([p.body_theta for p in poses], dtype=np.float64)
-    # The offsets are taken both ways, not negated: atan2 tells +0 from -0.
-    # atan2 and hypot are math's, per element: numpy's own can differ from
-    # them in the last ulp.
-    dx = (x[ba] - x[ab]).tolist()
-    dy = (y[ba] - y[ab]).tolist()
-    # :func:`_wrap_pi` without its fmod and its lower branch, which change
-    # nothing here: a heading in [0, 2*pi) less a bearing in [-pi, pi]
-    # lies in [-pi, 3*pi], and above 2*pi, subtracting 2*pi is exact, as
-    # fmod is (Sterbenz).
-    turn = theta[ab] - np.fromiter(map(math.atan2, dy, dx), np.float64, len(dx))
-    turn = np.abs(np.where(turn > math.pi, turn - TWO_PI, turn))
-    effort = turn[0::2] + turn[1::2]
-    dist = np.fromiter(map(math.hypot, dx[0::2], dy[0::2]), np.float64, len(i))
-    if not dist.all():  # a distance is zero exactly when both offsets are
-        for k in np.flatnonzero(dist == 0.0).tolist():
-            a, b = poses[ab[2 * k]], poses[ba[2 * k]]
-            warnings.warn(
-                f"agents {a.agent_id} and {b.agent_id} share a position; effort angle defaulted to 0",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        effort[dist == 0.0] = 0.0
-    return offsets, i, j, np.column_stack((dist, effort))
+    counts = [n * (n - 1) // 2 for n in sizes]
+    offsets, starts = np.array([[0, *accumulate(counts)], [0, *accumulate(sizes)]], dtype=np.intp)
+    ij = np.concatenate([pair_indices(n) for n in sizes] or [pair_indices(0)], axis=1)
+    first = np.repeat(starts[:-1], counts)  # where each pair's frame starts in ``poses``
+    pose = np.array([(p.x, p.y, p.body_theta) for p in poses], dtype=np.float64)
+    X = np.empty((ij.shape[1], 2))
+    for start in range(0, ij.shape[1], _BLOCK_PAIRS):
+        rows = slice(start, start + _BLOCK_PAIRS)
+        ends = ij[:, rows] + first[rows]
+        # (2, pairs, 3): the poses of a and of b; with the halves swapped,
+        # of b and of a. The offsets are taken both ways, not negated:
+        # atan2 tells +0 from -0.
+        at = pose[ends]
+        dx, dy = (at[::-1] - at).reshape(-1, 3).T[:2].tolist()
+        # The turns of a toward b and of b toward a. atan2 and hypot are
+        # math's, per element: numpy's own can differ from them in the last
+        # ulp. :func:`_wrap_pi` without its fmod and its lower branch, which
+        # change nothing here: a heading in [0, 2*pi) less a bearing in
+        # [-pi, pi] lies in [-pi, 3*pi], and above 2*pi, subtracting 2*pi is
+        # exact, as fmod is (Sterbenz).
+        turn = at[:, :, 2] - np.fromiter(map(math.atan2, dy, dx), np.float64, len(dx)).reshape(2, -1)
+        np.subtract(turn, TWO_PI, out=turn, where=turn > math.pi)
+        np.abs(turn, out=turn)
+        out = X[rows]
+        out[:, 0] = dist = np.fromiter(map(math.hypot, dx, dy), np.float64, len(out))
+        np.add(turn[0], turn[1], out=out[:, 1])
+        if not dist.all():  # a distance is zero exactly when both offsets are
+            for k in np.flatnonzero(dist == 0.0).tolist():
+                a, b = ends[:, k].tolist()
+                warnings.warn(
+                    f"agents {poses[a].agent_id} and {poses[b].agent_id} share a position; "
+                    f"effort angle defaulted to 0",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            out[dist == 0.0, 1] = 0.0
+    return offsets, ij[0], ij[1], X
 
 
 def pairwise_deconstruct(frame: Frame) -> list[PairSample]:

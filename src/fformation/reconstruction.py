@@ -63,10 +63,12 @@ def greedy_reconstruct(matrix: RelationMatrix, mode: str = "intersection") -> Gr
     width = packed.shape[1]
     raw = packed.tobytes()
     beliefs = [int.from_bytes(raw[k * width:(k + 1) * width], "little") for k in range(n)]
-    # (B_i & B_j, B_i | B_j, {i, j}) of every positive pair (i < j).
+    # (B_i & B_j, B_i | B_j, {i, j}) of every positive pair (i < j): j runs
+    # over the set bits of B_i above bit i.
     live = [
-        (beliefs[i] & beliefs[j], beliefs[i] | beliefs[j], (1 << i) | (1 << j))
-        for i, j in zip(*(a.tolist() for a in np.nonzero(np.triu(matrix.m, 1))))
+        (belief & beliefs[j], belief | beliefs[j], (1 << i) | (1 << j))
+        for i, belief in enumerate(beliefs)
+        for j in _members(belief >> i + 1 << i + 1)
     ]
     remaining = (1 << n) - 1
     groups = []

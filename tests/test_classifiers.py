@@ -136,6 +136,7 @@ def test_samples_to_arrays_rejects_labels_other_than_0_and_1():
         ("logreg", {"tol": -1e-8}),
         ("logreg", {"tol": math.nan}),
         ("logreg", {"epochs": -1}),
+        ("trees", {"bootstrap": 1}),
     ],
 )
 def test_train_rejects_out_of_range_hyperparameters(kind, hyperparams):
@@ -1270,6 +1271,31 @@ def test_predict_rejects_non_finite_scores():
             predict(model, 1e200, 1.0)
 
 
+def test_logreg_logits_that_overflow_are_rejected_as_non_finite_scores():
+    doc = model_to_dict(train(separable_samples(40, seed=8), kind="logreg", seed=0))
+    doc["params"]["coef"] = [1e308] * 3
+    model = model_from_dict(doc)
+    # Both features far above or far below their means: the logit overflows
+    # to +inf or -inf, which the sigmoid alone would score 1 or 0.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="scores must be finite"):
+            predict(model, 50.0, 6.0)
+        with pytest.raises(ValueError, match="scores must be finite"):
+            predict_batch(model, [[0.5, 0.5], [-50.0, -6.0]])
+
+
+def test_logreg_scores_of_finite_logits_are_the_sigmoid_bit_for_bit():
+    # Logits of up to +-2000, so that scores round to exactly 0 and 1 too.
+    rng = np.random.default_rng(26)
+    Xs = rng.uniform(-100.0, 100.0, size=(2000, 2))
+    for coef in (np.array([0.3, -4.0, 2.5]), np.array([-14.2, -11.6, -4.1]), np.array([5.0, 20.0, 0.0])):
+        params = logreg_mod.LogisticParams(coef=coef)
+        want = logreg_mod._sigmoid(coef[0] + Xs @ coef[1:])
+        got = logreg_mod.scores(params, Xs)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert {0.0, 1.0} <= set(got.tolist())
+
+
 def test_train_rejects_degenerate_labels():
     rows = [(1.0, 1.0, 1), (2.0, 2.0, 1), (3.0, 1.5, 1)]
     for kind in KINDS:
@@ -1604,9 +1630,44 @@ def test_mutated_trees_documents_are_rejected_or_predict_as_their_trees_say():
             assert np.array_equal(got, walked), where
             if keeps_predictions:
                 assert np.array_equal(got, original), where
-    # Most edits break the document; huge thresholds and numbers written as
-    # strings still load.
+    # Most edits break the document, numbers written as strings among them;
+    # huge thresholds still load.
     assert 0 < rejected.count(False) < rejected.count(True)
+
+
+@pytest.mark.parametrize(
+    "kind, keys, value",
+    [
+        ("logreg", ("params", "coef"), ["1", "2", "3"]),
+        ("logreg", ("seed",), True),
+        ("trees", ("hyperparams", "n_trees"), "x"),
+        ("knn", ("hyperparams", "junk"), 1),
+        ("knn", ("scaling", "mean"), ["0.1", "0.2"]),
+        # more of the same kinds
+        ("logreg", ("seed",), "7"),
+        ("logreg", ("seed",), 7.0),
+        ("logreg", ("params", "coef", 0), True),
+        ("logreg", ("hyperparams", "learning_rate"), "0.1"),
+        ("logreg", ("hyperparams", "l2"), -1.0),
+        ("trees", ("hyperparams", "bootstrap"), 1),
+        ("trees", ("params", "trees", 0, "threshold", 0), "0.5"),
+        ("trees", ("params", "trees", 0, "value", -1), False),
+        ("trees", ("params", "trees", 0, "left", 0), True),
+        ("knn", ("params", "points", 0, 1), "0.5"),
+        ("knn", ("params", "points", 0), "01"),
+        ("knn", ("params", "labels", 0), True),
+        ("knn", ("hyperparams", "k"), "10"),
+        ("knn", ("scaling", "std", 0), True),
+    ],
+)
+def test_load_model_rejects_mistyped_numbers_and_hyperparameters(kind, keys, value):
+    doc = json.loads(json.dumps(model_to_dict(train(separable_samples(40, seed=15), kind=kind, seed=0))))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    with pytest.raises(ModelFormatError, match="malformed model document"):
+        model_from_dict(doc)
 
 
 # A JSON integer of 401 digits: valid JSON, but too large for a float.

@@ -3,11 +3,14 @@
 import cmath
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from fformation import features as features_mod
+from fformation.classifiers import _cells as _relation_cells
 from fformation.core import AgentPose, Frame, GroupSet, ValidationError
 from fformation.features import distance, effort_angle, pair_features, pairwise_deconstruct
 from fformation.synthetic import SynthConfig, generate_synthetic
@@ -253,3 +256,68 @@ def test_pair_features_name_an_invalid_frame():
     bad = Frame(frame_id=42, agents=(pose(1, 0, 0, 0), AgentPose(1, 1.0, 0.0, 0.0)))
     with pytest.raises(ValidationError, match="frame 42: duplicate agent id 1"):
         pair_features([good, bad])
+
+
+def _shuffled_frames(sizes, rng, coincident):
+    """Frames of the given sizes with ids in random order; with
+    ``coincident``, about a third of the agents stand on another's spot."""
+    frames = []
+    for k, n in enumerate(sizes):
+        agents = []
+        for agent_id in rng.sample(range(100, 1000), n):
+            if coincident and agents and rng.random() < 0.3:
+                other = rng.choice(agents)
+                x, y = other.x, other.y
+            else:
+                x, y = rng.uniform(-4.0, 4.0), rng.uniform(-4.0, 4.0)
+            agents.append(pose(agent_id, x, y, rng.uniform(0.0, TWO_PI)))
+        frames.append(Frame(frame_id=k, agents=tuple(agents)))
+    return frames
+
+
+@pytest.mark.parametrize("coincident", [False, True])
+def test_pair_features_of_every_frame_size_equal_the_scalar_features(coincident):
+    # Every size from 0 to 25 agents, twice: 5.2k pairs, so the one call
+    # works through more than one pass of pairs.
+    frames = _shuffled_frames([*range(26), *range(25, -1, -1)], random.Random(41), coincident)
+    assert sum(len(f.agents) * (len(f.agents) - 1) // 2 for f in frames) > features_mod._BLOCK_PAIRS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert_bit_identical_pair_rows(frames)
+        for frame in frames:
+            assert_bit_identical_pair_rows([frame])
+
+
+def test_pair_features_cached_indices_are_read_only():
+    frame = _circle_frame(6)
+    _, i, j, _ = pair_features([frame])
+    cached = features_mod.pair_indices(6)
+    assert cached.tolist() == [i.tolist(), j.tolist()]
+    with pytest.raises(ValueError, match="read-only"):
+        cached[0, 0] = 5
+    # The caller's arrays are copies, which it may change.
+    i[0] = 5
+    assert features_mod.pair_indices(6)[0, 0] == 0
+    cells, eye = _relation_cells(6)
+    for a in (cells, eye):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+
+
+def test_pair_features_transient_memory_does_not_grow_with_the_batch():
+    # Two crowd scenes, 40k pairs. Their pairs are worked through in passes,
+    # so beyond the result a call holds one index a pair and one pass.
+    config = SynthConfig(
+        n_frames=2, groups_per_frame=(45, 45), n_distractors=50, area=(60.0, 60.0), seed=2
+    )
+    scenes = generate_synthetic(config).frames
+    pair_features(scenes)  # fills the index cache
+    tracemalloc.start()
+    try:
+        result = pair_features(scenes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = len(result[3])
+    assert pairs > 35_000
+    assert peak <= sum(a.nbytes for a in result) + 8 * pairs + 3_000_000

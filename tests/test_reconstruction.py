@@ -3,10 +3,14 @@
 import itertools
 import math
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from fformation import classifiers as classifiers_mod
+from fformation import features as features_mod
 from fformation.core import AgentPose, Frame, GroupSet, RelationMatrix, ValidationError
 from fformation.classifiers import build_relation_matrix, predict_batch, train
 from fformation.features import distance, effort_angle, pairwise_deconstruct
@@ -402,3 +406,27 @@ def test_detect_names_an_invalid_frame_of_a_batch(models):
     bad = Frame(frame_id=77, agents=(AgentPose.make(1, 0, 0, 0), AgentPose(2, math.nan, 0.0, 0.0)))
     with pytest.raises(ValidationError, match="frame 77: agent 2 has non-finite position"):
         detect(models["knn"], [*frames, bad])
+
+
+@pytest.mark.filterwarnings("ignore:agents 3 and 7 share a position")
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_detect_from_four_threads_equals_serial_detect(models, kind):
+    # The threads start on empty index caches and fill them side by side.
+    model = models[kind]
+    frames = mixed_frames()
+    serial = [detect(model, f).groups for f in frames]
+    features_mod.pair_indices.cache_clear()
+    classifiers_mod._cells.cache_clear()
+    start = threading.Barrier(4, timeout=60)
+
+    def work(t):
+        start.wait()
+        order = list(range(len(frames)))
+        random.Random(t).shuffle(order)
+        got = {k: detect(model, frames[k]).groups for k in order}
+        return [got[k] for k in range(len(frames))], [gs.groups for gs in detect(model, frames)]
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for one_by_one, at_once in pool.map(work, range(4)):
+            assert one_by_one == serial
+            assert at_once == serial
