@@ -1,10 +1,10 @@
 """Trainable pairwise classifiers: are two agents in the same group?
 
-Three kinds share one interface: ``weighted_knn``, ``bagged_trees``, and
-``logistic_regression`` (aliases ``knn``/``trees``/``logreg``). All of
-them consume the two standardized pair features (distance, effort angle)
-and emit a positive-class score in [0, 1]; the predicted label is 1
-exactly when the score is >= 0.5.
+Three kinds share the interface of ``kinds.REGISTRY``: ``weighted_knn``,
+``bagged_trees`` and ``logistic_regression`` (aliases ``knn``/``trees``/
+``logreg``). All of them consume the two standardized pair features
+(distance, effort angle) and emit a positive-class score in [0, 1]; the
+predicted label is 1 exactly when the score is >= 0.5.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .base import (
     KIND_ALIASES,
     KINDS,
     FeatureScaling,
+    ModelFormatError,
     TrainedModel,
     TrainingError,
     canonical_kind,
@@ -28,10 +29,8 @@ from .base import (
     resolve_hyperparams,
     samples_to_arrays,
 )
-from .persistence import ModelFormatError, load_model, model_from_dict, model_to_dict, save_model
-from . import knn as _knn
-from . import logreg as _logreg
-from . import trees as _trees
+from .kinds import REGISTRY
+from .persistence import load_model, model_from_dict, model_to_dict, save_model
 
 DECISION_THRESHOLD = 0.5
 
@@ -67,42 +66,18 @@ def train(
 
     Features are z-score standardized with statistics from the training
     set; the statistics are stored in the returned model and reapplied
-    at prediction time. Training is deterministic for a fixed seed.
+    at prediction time. Training is deterministic for a fixed seed, which
+    must be an integer >= 0 (Python or numpy, not a bool).
     """
     kind = canonical_kind(kind)
     hp = resolve_hyperparams(kind, hyperparams)
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise TrainingError(f"seed must be an integer >= 0, got {seed!r}")
+    seed = int(seed)
     X, y = samples_to_arrays(samples)
     scaling = fit_scaling(X)
-    Xs = scaling.apply(X)
-    if kind == "weighted_knn":
-        params: Any = _knn.fit(Xs, y)
-    elif kind == "bagged_trees":
-        params = _trees.fit(
-            Xs,
-            y,
-            seed=seed,
-            n_trees=hp["n_trees"],
-            max_depth=hp["max_depth"],
-            min_leaf=hp["min_leaf"],
-            bootstrap=hp["bootstrap"],
-        )
-    else:
-        params = _logreg.fit(
-            Xs,
-            y,
-            l2=hp["l2"],
-            epochs=hp["epochs"],
-            tol=hp["tol"],
-        )
-    return TrainedModel(kind=kind, scaling=scaling, seed=int(seed), hyperparams=hp, params=params)
-
-
-def _raw_scores(model: TrainedModel, Xs: np.ndarray) -> np.ndarray:
-    if model.kind == "weighted_knn":
-        return _knn.scores(model.params, model.hyperparams["k"], Xs)
-    if model.kind == "bagged_trees":
-        return _trees.scores(model.params, Xs)
-    return _logreg.scores(model.params, Xs)
+    params = REGISTRY[kind].fit(scaling.apply(X), y, hp, seed)
+    return TrainedModel(kind=kind, scaling=scaling, seed=seed, hyperparams=hp, params=params)
 
 
 def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +90,7 @@ def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
     Xs = model.scaling.apply(np.array(X, dtype=np.float64, ndmin=2))
     if not np.isfinite(Xs).all():
         raise ValueError("prediction inputs must be finite, also once standardized")
-    scores = _raw_scores(model, Xs)
+    scores = REGISTRY[model.kind].scores(model.params, model.hyperparams, Xs)
     if not np.isfinite(scores).all():
         raise ValueError("prediction scores must be finite")
     return (scores >= DECISION_THRESHOLD).view(np.uint8), scores

@@ -1,9 +1,11 @@
-"""Shared classifier machinery: sample matrices, feature scaling, model type."""
+"""Shared classifier machinery: sample matrices, feature scaling, model type,
+and the checks every part of a model document goes through on load."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
@@ -13,6 +15,10 @@ from ..core import PairSample
 
 class TrainingError(ValueError):
     """Training preconditions violated (degenerate labels or features)."""
+
+
+class ModelFormatError(ValueError):
+    """The model document is malformed or from an unsupported version."""
 
 
 KINDS = ("weighted_knn", "bagged_trees", "logistic_regression")
@@ -68,12 +74,16 @@ _HYPERPARAM_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
 RETIRED_HYPERPARAMS: dict[str, tuple[str, ...]] = {"logistic_regression": ("learning_rate",)}
 
 
-def hyperparam_problem(kind: str, key: str, value: Any) -> Optional[str]:
-    """Why ``key = value`` is no hyperparameter of the kind, or None."""
-    if key not in DEFAULT_HYPERPARAMS[kind] and key not in RETIRED_HYPERPARAMS.get(kind, ()):
-        return f"unknown hyperparameter {key!r} for kind {kind!r}"
-    test, accepted = _HYPERPARAM_RULES[key]
-    return None if test(value) else f"hyperparameter {key} must be {accepted}, got {value!r}"
+def hyperparams_problem(kind: str, hyperparams: dict[str, Any]) -> Optional[str]:
+    """Why the first entry of ``hyperparams`` that is no hyperparameter of
+    the kind is not, or None."""
+    for key, value in hyperparams.items():
+        if key not in DEFAULT_HYPERPARAMS[kind] and key not in RETIRED_HYPERPARAMS.get(kind, ()):
+            return f"unknown hyperparameter {key!r} for kind {kind!r}"
+        test, accepted = _HYPERPARAM_RULES[key]
+        if not test(value):
+            return f"hyperparameter {key} must be {accepted}, got {value!r}"
+    return None
 
 
 def resolve_hyperparams(kind: str, overrides: Optional[dict[str, Any]]) -> dict[str, Any]:
@@ -87,11 +97,37 @@ def resolve_hyperparams(kind: str, overrides: Optional[dict[str, Any]]) -> dict[
         if key not in params:
             raise ValueError(f"unknown hyperparameter {key!r} for kind {kind!r}")
         params[key] = value
-    for key, value in params.items():
-        problem = hyperparam_problem(kind, key, value)
-        if problem is not None:
-            raise TrainingError(problem)
+    problem = hyperparams_problem(kind, params)
+    if problem is not None:
+        raise TrainingError(problem)
     return params
+
+
+def _check(ok, what: str) -> None:
+    if not ok:
+        raise ModelFormatError(f"malformed model document: {what}")
+
+
+def _typed(items, types: set, what: str, accepted: str) -> None:
+    """Reject items of another type: numpy would parse the string "0.5" and
+    read true as 1. One pass of C-level calls, with no Python loop."""
+    _check(set(map(type, items)) <= types, f"{what} must be {accepted}")
+
+
+def _floats(values, what: str, rows: bool = False) -> np.ndarray:
+    """A list of numbers, or with ``rows`` a list of lists of numbers."""
+    # JSON numbers; booleans and strings are not.
+    _typed(chain.from_iterable(values) if rows else values, {int, float}, what, "numbers")
+    a = np.asarray(values, dtype=np.float64)
+    _check(np.isfinite(a).all(), f"{what} must be finite")
+    return a
+
+
+def _ints(values, what: str) -> np.ndarray:
+    _typed(values, {int}, what, "a list of integers")
+    a = np.asarray(values)
+    _check(a.ndim == 1 and a.dtype.kind in "iu", f"{what} must be a list of integers")
+    return a
 
 
 @dataclass(frozen=True)

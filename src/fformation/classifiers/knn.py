@@ -25,6 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import _check, _floats, _ints
+
 # Training points per grid cell, on average over the bounding box.
 _POINTS_PER_CELL = 4.0
 
@@ -117,12 +119,28 @@ class KnnParams:
         return start, length, np.add.reduceat(length, np.cumsum(width) - width)
 
 
-def fit(Xs: np.ndarray, y: np.ndarray) -> KnnParams:
+def fit(Xs: np.ndarray, y: np.ndarray, hyperparams: dict, seed: int) -> KnnParams:
+    """The training set, indexed; ``k`` acts only in ``scores``."""
     pts = np.array(Xs, dtype=np.float64)
     labels = np.array(y, dtype=np.uint8)
     pts.setflags(write=False)
     labels.setflags(write=False)
     return KnnParams(points=pts, labels=labels)
+
+
+def to_params(params: KnnParams) -> dict:
+    return {"points": params.points.tolist(), "labels": params.labels.tolist()}
+
+
+def from_params(raw: dict, hyperparams: dict) -> KnnParams:
+    points = _floats(raw["points"], "knn points", rows=True)
+    _check(points.ndim == 2 and points.shape[0] >= 1 and points.shape[1] == 2,
+           "knn points must have shape (n, 2) with n >= 1")
+    labels = _ints(raw["labels"], "knn labels")
+    _check(labels.shape == (points.shape[0],), "knn needs one label per point")
+    _check(np.isin(labels, (0, 1)).all(), "knn labels must be 0 or 1")
+    _check("k" in hyperparams, "knn needs hyperparams.k")
+    return KnnParams(points=points, labels=labels.astype(np.uint8))
 
 
 def _chunks(count: np.ndarray) -> list:
@@ -203,14 +221,15 @@ def _round(
     return score, done, reach
 
 
-def scores(params: KnnParams, k: int, Xs: np.ndarray) -> np.ndarray:
-    """Weighted positive-class vote for each standardized query row.
+def scores(params: KnnParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarray:
+    """Weighted positive-class vote of the ``hyperparams["k"]`` nearest
+    training points, for each standardized query row.
 
     Rows that are not finite score NaN, as a vote over infinite distances
     does.
     """
     n = params.points.shape[0]
-    k = min(int(k), n)
+    k = min(int(hyperparams["k"]), n)
     if k < 1:
         raise ValueError("k must be >= 1")
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import _check, _floats
+
 # A Newton step is halved at most this many times, to 2**-30 of its
 # length, before the fit stops for want of a step that lowers the loss.
 _MAX_HALVINGS = 30
@@ -77,7 +79,8 @@ def _newton_step(coef: np.ndarray, Xs: np.ndarray, g: np.ndarray, l2: float) -> 
         return np.linalg.lstsq(H, -g, rcond=None)[0]
 
 
-def fit(Xs: np.ndarray, y: np.ndarray, l2: float, epochs: int, tol: float) -> LogisticParams:
+def fit(Xs: np.ndarray, y: np.ndarray, hyperparams: dict, seed: int) -> LogisticParams:
+    l2, epochs, tol = hyperparams["l2"], hyperparams["epochs"], hyperparams["tol"]
     coef = np.zeros(3, dtype=np.float64)
     y = y.astype(np.float64)
     current = loss(coef, Xs, y, l2)
@@ -99,8 +102,18 @@ def fit(Xs: np.ndarray, y: np.ndarray, l2: float, epochs: int, tol: float) -> Lo
     return LogisticParams(coef=coef)
 
 
-def scores(params: LogisticParams, Xs: np.ndarray) -> np.ndarray:
+def to_params(params: LogisticParams) -> dict:
+    return {"coef": params.coef.tolist()}
+
+
+def from_params(raw: dict, hyperparams: dict) -> LogisticParams:
+    coef = _floats(raw["coef"], "logreg coef")
+    _check(coef.shape == (3,), "logreg coef needs 3 values")
+    return LogisticParams(coef=coef)
+
+
+def scores(params: LogisticParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarray:
     """Positive-class probabilities; NaN where a logit overflows, which
-    ``predict_batch`` rejects."""
+    ``predict_batch`` rejects. No hyperparameter acts on scoring."""
     z = _logits(params.coef, np.atleast_2d(np.asarray(Xs, dtype=np.float64)))
     return _sigmoid(z) + (z - z)  # z - z is +0, or NaN for an infinite z

@@ -32,9 +32,11 @@ forest's depth, and then rests on every row's leaf in every tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
+
+from .base import _check, _floats, _ints
 
 # Cells of the (trees x rows) node matrix scored at once: the matrix and
 # its temporaries stay near 1 MB whatever the batch size.
@@ -287,24 +289,18 @@ def _grow(
     )
 
 
-def fit(
-    Xs: np.ndarray,
-    y: np.ndarray,
-    seed: int,
-    n_trees: int,
-    max_depth,
-    min_leaf: int,
-    bootstrap: bool,
-) -> ForestParams:
+def fit(Xs: np.ndarray, y: np.ndarray, hyperparams: dict, seed: int) -> ForestParams:
+    """Tree t drawn with the t-th child of ``SeedSequence(seed)``."""
     n = y.shape[0]
+    max_depth, min_leaf = hyperparams["max_depth"], hyperparams["min_leaf"]
     cols = np.ascontiguousarray(np.asarray(Xs, dtype=np.float64).T)
     order = np.argsort(cols, axis=1, kind="stable")
     ws = _Workspace(*cols.shape)
-    seeds = np.random.SeedSequence(seed).spawn(n_trees)
+    seeds = np.random.SeedSequence(seed).spawn(hyperparams["n_trees"])
     trees = []
     for tree_seed in seeds:
         rng = np.random.default_rng(tree_seed)
-        if bootstrap:
+        if hyperparams["bootstrap"]:
             counts = np.bincount(rng.integers(0, n, size=n), minlength=n)
         else:
             counts = np.ones(n, dtype=np.intp)
@@ -312,10 +308,48 @@ def fit(
     return ForestParams(trees=tuple(trees))
 
 
-def scores(params: ForestParams, Xs: np.ndarray) -> np.ndarray:
-    """Mean leaf positive-class fraction across the ensemble.
+def to_params(params: ForestParams) -> dict:
+    return {
+        "trees": [{f.name: getattr(t, f.name).tolist() for f in fields(t)} for t in params.trees]
+    }
 
-    Leaf values are summed in tree order, then divided by the tree count.
+
+def _tree(raw: dict) -> TreeArrays:
+    """Node arrays whose every path reaches a leaf: children follow parents."""
+    feature = _ints(raw["feature"], "tree feature")
+    left = _ints(raw["left"], "tree left")
+    right = _ints(raw["right"], "tree right")
+    threshold = _floats(raw["threshold"], "tree threshold")
+    value = _floats(raw["value"], "tree value")
+    m = feature.shape[0]
+    _check(m >= 1 and all(a.shape == (m,) for a in (left, right, threshold, value)),
+           "tree arrays must be nonempty and of equal length")
+    _check(np.isin(feature, (-1, 0, 1)).all(), "tree feature must be -1, 0 or 1")
+    node = np.arange(m)
+    split = (left > node) & (right > node) & (left < m) & (right < m)
+    leaf = (left == -1) & (right == -1)
+    _check(np.where(feature >= 0, split, leaf).all(),
+           "tree children must follow their node inside the arrays, and leaves have none")
+    _check(((value >= 0.0) & (value <= 1.0)).all(), "tree values must lie in [0, 1]")
+    return TreeArrays(
+        feature=feature.astype(np.int32),
+        threshold=threshold,
+        left=left.astype(np.int32),
+        right=right.astype(np.int32),
+        value=value,
+    )
+
+
+def from_params(raw: dict, hyperparams: dict) -> ForestParams:
+    return ForestParams(trees=tuple(_tree(t) for t in raw["trees"]))
+
+
+def scores(params: ForestParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarray:
+    """Mean leaf positive-class fraction across the ensemble; no
+    hyperparameter acts on scoring.
+
+    Leaf values are summed in tree order from +0.0, then divided by the
+    tree count.
     """
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
     n_trees = params.roots.shape[0]
@@ -328,8 +362,8 @@ def scores(params: ForestParams, Xs: np.ndarray) -> np.ndarray:
         for _ in range(params.depth):
             go_left = X[rows, params.feature[node]] <= params.threshold[node]
             node = params.child[2 * node + go_left]
-        total = np.zeros(X.shape[0], dtype=np.float64)
-        for leaf in params.value[node]:
-            total += leaf
+        # cumsum adds one tree at a time, in order. Adding +0.0 gives the
+        # sum from +0.0: it turns a sum of -0.0 leaves into +0.0.
+        total = np.cumsum(params.value[node], axis=0)[-1] + 0.0
         out[start : start + block] = total / n_trees
     return out

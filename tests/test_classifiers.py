@@ -145,6 +145,23 @@ def test_train_rejects_out_of_range_hyperparameters(kind, hyperparams):
         train(separable_samples(40, seed=23), kind=kind, hyperparams=hyperparams)
 
 
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+@pytest.mark.parametrize(
+    "seed", [1.5, "7", True, False, -1, None, np.float64(2.0), np.bool_(True), np.int64(-1)]
+)
+def test_train_rejects_a_seed_that_is_not_an_integer_of_at_least_zero(kind, seed):
+    with pytest.raises(TrainingError, match="seed must be an integer >= 0"):
+        train(separable_samples(40, seed=23), kind=kind, seed=seed)
+
+
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_train_stores_a_numpy_integer_seed_as_a_python_int(kind):
+    samples = separable_samples(40, seed=23)
+    model = train(samples, kind=kind, seed=np.uint8(7))
+    assert type(model.seed) is int and model.seed == 7
+    assert model_to_dict(model) == model_to_dict(train(samples, kind=kind, seed=7))
+
+
 def test_train_accepts_hyperparameters_on_the_edge_of_their_range():
     samples = separable_samples(40, seed=23)
     train(samples, kind="knn", hyperparams={"k": 1})
@@ -199,10 +216,10 @@ def test_knn_matches_oracle_on_random_data():
         labels = rng.integers(0, 2, size=n).astype(np.uint8)
         if len(np.unique(labels)) < 2:
             labels[0] = 1 - labels[0]
-        params = knn_mod.fit(pts, labels)
+        params = knn_mod.fit(pts, labels, {}, 0)
         k = int(rng.integers(1, n + 1))
         queries = rng.normal(size=(8, 2))
-        got = knn_mod.scores(params, k, queries)
+        got = knn_mod.scores(params, {"k": k}, queries)
         for qi, q in enumerate(queries):
             want = oracle_knn_score(pts, labels, q, k)
             assert math.isclose(got[qi], want, rel_tol=1e-12, abs_tol=1e-12), (trial, qi)
@@ -216,10 +233,10 @@ def test_knn_matches_oracle_under_heavy_distance_ties():
         n = int(rng.integers(5, 30))
         pts = rng.integers(-2, 3, size=(n, 2)).astype(np.float64)
         labels = rng.integers(0, 2, size=n).astype(np.uint8)
-        params = knn_mod.fit(pts, labels)
+        params = knn_mod.fit(pts, labels, {}, 0)
         k = int(rng.integers(1, n + 1))
         queries = rng.integers(-2, 3, size=(6, 2)).astype(np.float64)
-        got = knn_mod.scores(params, k, queries)
+        got = knn_mod.scores(params, {"k": k}, queries)
         for qi, q in enumerate(queries):
             want = oracle_knn_score(pts, labels, q, k)
             assert math.isclose(got[qi], want, rel_tol=1e-12, abs_tol=1e-12), (trial, qi)
@@ -265,9 +282,9 @@ def brute_force_knn_scores(params, k, Xs):
 
 
 def assert_grid_matches_brute_force(pts, labels, queries, ks=(1, 3, 10)):
-    params = knn_mod.fit(pts, labels)
+    params = knn_mod.fit(pts, labels, {}, 0)
     for k in ks:
-        got = knn_mod.scores(params, k, queries)
+        got = knn_mod.scores(params, {"k": k}, queries)
         want = brute_force_knn_scores(params, k, queries)
         assert np.array_equal(got, want, equal_nan=True), k
 
@@ -287,7 +304,7 @@ def test_knn_grid_matches_brute_force_on_synthetic_corpus():
     own = params.points[rng.choice(len(params.points), size=300, replace=False)]
     queries = np.concatenate([evaluation, own])
     for k in (1, 10, 25):
-        got = knn_mod.scores(params, k, queries)
+        got = knn_mod.scores(params, {"k": k}, queries)
         assert np.array_equal(got, brute_force_knn_scores(params, k, queries)), k
 
 
@@ -328,7 +345,7 @@ def test_knn_grid_matches_brute_force_on_cell_edges():
     rng = np.random.default_rng(24)
     pts = rng.integers(-6, 7, size=(3000, 2)).astype(np.float64) * 0.5
     labels = rng.integers(0, 2, size=3000).astype(np.uint8)
-    params = knn_mod.fit(pts, labels)
+    params = knn_mod.fit(pts, labels, {}, 0)
     nx, ny = params.shape
     edges_x = params.origin[0] + params.cell * np.arange(nx + 1)
     edges_y = params.origin[1] + params.cell * np.arange(ny + 1)
@@ -346,7 +363,7 @@ def test_knn_grid_counts_underflowing_distances_as_exact_matches():
     pts = s * np.array([[4, 0], [3, 1], [0, 8], [8, 0]] + [[8, 8]] * 12, dtype=np.float64)
     labels = np.array([0] + [1] * 15, dtype=np.uint8)
     query = [[3 * s, 0.0]]
-    assert knn_mod.scores(knn_mod.fit(pts, labels), 1, query)[0] == 0.0
+    assert knn_mod.scores(knn_mod.fit(pts, labels, {}, 0), {"k": 1}, query)[0] == 0.0
     assert_grid_matches_brute_force(pts, labels, query, ks=(1, 2, 16))
 
 
@@ -372,7 +389,7 @@ def test_knn_per_frame_calls_match_brute_force(corpus_knn):
     ][:200]
     assert len(batches) == 200
     params, k = corpus_knn.params, corpus_knn.hyperparams["k"]
-    got = np.concatenate([knn_mod.scores(params, k, b) for b in batches])
+    got = np.concatenate([knn_mod.scores(params, {"k": k}, b) for b in batches])
     assert np.array_equal(got, brute_force_knn_scores(params, k, np.concatenate(batches)))
 
 
@@ -386,7 +403,7 @@ def test_predict_batch_takes_an_empty_batch_and_a_single_row(kind):
     assert (int(labels[0]), float(scores[0])) == predict(model, 1.5, 0.7)
     if kind == "knn":
         for rows in (np.empty((0, 2)), model.scaling.apply([[1.5, 0.7]])):
-            got = knn_mod.scores(model.params, 10, rows)
+            got = knn_mod.scores(model.params, {"k": 10}, rows)
             assert np.array_equal(got, brute_force_knn_scores(model.params, 10, rows))
 
 
@@ -395,7 +412,7 @@ def test_knn_rows_resolving_in_different_rounds_match_brute_force(monkeypatch):
     blob = rng.normal(scale=0.02, size=(600, 2)) + [1.0, -0.5]
     pts = np.concatenate([rng.normal(size=(3000, 2)), blob])
     labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
-    params = knn_mod.fit(pts, labels)
+    params = knn_mod.fit(pts, labels, {}, 0)
     densest = np.argmax(np.diff(params.starts))
     corner = params.origin + params.cell * np.array(divmod(densest, params.shape[1]))
     queries = np.concatenate([
@@ -416,7 +433,7 @@ def test_knn_rows_resolving_in_different_rounds_match_brute_force(monkeypatch):
     monkeypatch.setattr(knn_mod, "_round", counting_round)
     for k in (1, 10, 30):
         certified.clear()
-        got = knn_mod.scores(params, k, queries)
+        got = knn_mod.scores(params, {"k": k}, queries)
         assert np.array_equal(got, brute_force_knn_scores(params, k, queries)), k
         # Most rows resolve in the first round, the rest in later ones.
         assert len(certified) >= 2 and 0 < certified[1] < certified[0], (k, certified)
@@ -427,7 +444,7 @@ def test_knn_batch_of_one_chunk_plus_one_row_matches_brute_force():
     rng = np.random.default_rng(27)
     pts = rng.uniform(-5.0, 5.0, size=(3000, 2))
     labels = rng.integers(0, 2, size=3000).astype(np.uint8)
-    params = knn_mod.fit(pts, labels)
+    params = knn_mod.fit(pts, labels, {}, 0)
     # Rows in one cell share its 3 x 3 window, so a chunk holds a fixed
     # number of them.
     cell = np.array(params.shape) // 2
@@ -448,7 +465,7 @@ def test_knn_ties_at_the_kth_distance_straddling_the_first_window():
     side = np.arange(-10, 11, dtype=np.float64)
     pts = np.array([(x, y) for x in side for y in side])
     labels = np.random.default_rng(28).integers(0, 2, size=len(pts)).astype(np.uint8)
-    params = knn_mod.fit(pts, labels)
+    params = knn_mod.fit(pts, labels, {}, 0)
     cells = params._cells(pts)
     straddled = 0
     for q in ([0.5, 0.5], [0.0, 0.5], [1.5, -2.5], [-3.0, 2.0]):
@@ -478,14 +495,14 @@ def test_knn_conflicting_duplicates_score_the_mean_of_their_labels():
     assert_grid_matches_brute_force(pts, labels, queries, ks=(1, 3, 10))
     means = np.array([labels[(pts == s).all(axis=1)].mean() for s in spots])
     assert ((means > 0.0) & (means < 1.0)).any()
-    assert np.array_equal(knn_mod.scores(knn_mod.fit(pts, labels), 10, spots), means)
+    assert np.array_equal(knn_mod.scores(knn_mod.fit(pts, labels, {}, 0), {"k": 10}, spots), means)
 
 
 def test_knn_scores_non_finite_rows_as_nan():
     rng = np.random.default_rng(30)
-    params = knn_mod.fit(rng.normal(size=(200, 2)), rng.integers(0, 2, size=200).astype(np.uint8))
+    params = knn_mod.fit(rng.normal(size=(200, 2)), rng.integers(0, 2, size=200).astype(np.uint8), {}, 0)
     rows = np.array([[0.1, 0.2], [np.nan, 0.0], [0.0, np.inf], [-0.3, 0.5]])
-    got = knn_mod.scores(params, 10, rows)
+    got = knn_mod.scores(params, {"k": 10}, rows)
     assert np.isnan(got[1:3]).all()
     assert np.array_equal(got[[0, 3]], brute_force_knn_scores(params, 10, rows[[0, 3]]))
 
@@ -505,9 +522,9 @@ def test_knn_self_accuracy_is_below_one_with_conflicting_duplicates():
 def test_knn_exact_match_dominates():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
     labels = np.array([1, 0, 0], dtype=np.uint8)
-    params = knn_mod.fit(pts, labels)
+    params = knn_mod.fit(pts, labels, {}, 0)
     # Two exact matches with opposite labels average to 0.5.
-    assert knn_mod.scores(params, 3, [[0.0, 0.0]])[0] == 0.5
+    assert knn_mod.scores(params, {"k": 3}, [[0.0, 0.0]])[0] == 0.5
 
 
 def test_knn_k1_memorizes_distinct_training_set():
@@ -632,7 +649,7 @@ def assert_fit_matches_reference(Xs, y, **hyperparams):
     hyperparams = {
         "seed": 0, "n_trees": 3, "max_depth": 12, "min_leaf": 5, "bootstrap": True, **hyperparams
     }
-    got = trees_mod.fit(Xs, y, **hyperparams).trees
+    got = trees_mod.fit(Xs, y, hyperparams, hyperparams["seed"]).trees
     want = reference_fit(Xs, y, **hyperparams)
     assert len(got) == len(want)
     for t, (g, w) in enumerate(zip(got, want)):
@@ -876,7 +893,7 @@ def test_growth_of_different_sizes_back_to_back_matches_the_reference(corpus_fra
     want_small = reference_fit(small_X, small_y, **deep)
     for X, y, params, want in ((big_X, big_y, hp, want_big), (small_X, small_y, deep, want_small),
                                (big_X, big_y, hp, want_big)):
-        got = trees_mod.fit(X, y, **params).trees
+        got = trees_mod.fit(X, y, params, params["seed"]).trees
         assert len(got) == len(want)
         for g, w in zip(got, want):
             for name in TREE_ARRAYS:
@@ -946,7 +963,7 @@ def reference_forest_scores(params, Xs):
 
 
 def assert_fused_matches_reference(params, queries):
-    got = trees_mod.scores(params, queries)
+    got = trees_mod.scores(params, {}, queries)
     assert np.array_equal(got, reference_forest_scores(params, queries))
 
 
@@ -984,7 +1001,7 @@ def test_fused_forest_matches_reference_on_synthetic_corpus(corpus_frames):
 def test_fused_forest_sends_queries_on_a_threshold_left():
     stump = _tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, 1.0, 0.0])
     params = trees_mod.ForestParams(trees=(stump,))
-    assert trees_mod.scores(params, [[0.5, 9.0], [np.nextafter(0.5, 1.0), 9.0]]).tolist() == [1.0, 0.0]
+    assert trees_mod.scores(params, {}, [[0.5, 9.0], [np.nextafter(0.5, 1.0), 9.0]]).tolist() == [1.0, 0.0]
 
     model = train(separable_samples(300, seed=14), kind="trees", seed=2)
     rng = np.random.default_rng(14)
@@ -1031,7 +1048,7 @@ def test_fused_forest_matches_reference_on_hand_built_trees():
         params = trees_mod.ForestParams(trees=trees)
         assert params.depth == depth
         assert_fused_matches_reference(params, grid)
-    assert trees_mod.scores(trees_mod.ForestParams(trees=(leaf_root,)), grid).tolist() == [0.25] * len(grid)
+    assert trees_mod.scores(trees_mod.ForestParams(trees=(leaf_root,)), {}, grid).tolist() == [0.25] * len(grid)
     # Values whose sum depends on the order of the additions, one row at a
     # time as well as in a batch.
     values = np.random.default_rng(18).random(30)
@@ -1040,6 +1057,21 @@ def test_fused_forest_matches_reference_on_hand_built_trees():
         assert_fused_matches_reference(params, rows)
     with pytest.raises(ValueError, match="at least one tree"):
         trees_mod.ForestParams(trees=())
+
+
+def test_fused_forest_sums_negative_zero_leaves_from_positive_zero():
+    # A leaf value of -0.0 passes the load check (value >= 0). Summed from
+    # +0.0, as the reference sums, leaves that are all -0.0 give +0.0;
+    # array_equal takes -0.0 for 0.0, so the bits are compared.
+    neg = _tree([-1], [0.0], [-1], [-1], [-0.0])
+    stump = _tree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, -0.0, 0.75])
+    rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    for trees in ((neg,), (neg, neg, neg), (neg, stump), (stump, neg, neg)):
+        params = trees_mod.ForestParams(trees=trees)
+        got = trees_mod.scores(params, {}, rows)
+        want = reference_forest_scores(params, rows)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trees
+    assert not np.signbit(got).any()
 
 
 def test_fused_forest_matches_reference_without_a_depth_limit():
@@ -1062,7 +1094,7 @@ def test_fused_forest_survives_the_model_document():
     clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     queries = np.random.default_rng(17).normal(size=(2000, 2)) * 2.0
     assert_fused_matches_reference(clone.params, queries)
-    assert np.array_equal(trees_mod.scores(clone.params, queries), trees_mod.scores(model.params, queries))
+    assert np.array_equal(trees_mod.scores(clone.params, {}, queries), trees_mod.scores(model.params, {}, queries))
     assert clone.params.depth == model.params.depth
 
 
@@ -1112,7 +1144,7 @@ def test_logreg_sigmoid_matches_the_masked_form_bit_for_bit():
 
 def test_logreg_zero_weights_score_half():
     params = logreg_mod.LogisticParams(coef=np.zeros(3))
-    assert logreg_mod.scores(params, [[3.0, 1.0]])[0] == 0.5
+    assert logreg_mod.scores(params, {}, [[3.0, 1.0]])[0] == 0.5
 
 
 def test_logreg_learns_separable_data_and_is_deterministic():
@@ -1128,7 +1160,7 @@ def test_logreg_descent_reduces_loss():
     X, y = samples_to_arrays(samples)
     scaling = fit_scaling(X)
     Xs = scaling.apply(X)
-    fitted = logreg_mod.fit(Xs, y, l2=1e-4, epochs=2000, tol=1e-8)
+    fitted = logreg_mod.fit(Xs, y, dict(l2=1e-4, epochs=2000, tol=1e-8), 0)
     assert logreg_mod.loss(fitted.coef, Xs, y, 1e-4) < logreg_mod.loss(np.zeros(3), Xs, y, 1e-4)
 
 
@@ -1148,14 +1180,14 @@ def reference_gradient_descent(Xs, y, l2, learning_rate, epochs, tol):
 def test_logreg_newton_reaches_the_optimum_on_a_corpus_sized_set(corpus_frames):
     Xs, y = _standardized(corpus_frames)
     hp = DEFAULT_HYPERPARAMS["logistic_regression"]
-    fitted = logreg_mod.fit(Xs, y, **hp).coef
+    fitted = logreg_mod.fit(Xs, y, hp, 0).coef
     descended = reference_gradient_descent(
         Xs, y, hp["l2"], learning_rate=0.1, epochs=hp["epochs"], tol=hp["tol"])
     assert logreg_mod.loss(fitted, Xs, y, hp["l2"]) <= logreg_mod.loss(descended, Xs, y, hp["l2"])
     assert np.linalg.norm(logreg_mod.gradient(fitted, Xs, y, hp["l2"])) < hp["tol"]
-    assert np.array_equal(logreg_mod.fit(Xs, y, **hp).coef, fitted)
+    assert np.array_equal(logreg_mod.fit(Xs, y, hp, 0).coef, fitted)
     # The stopping rule fires within 20 iterations.
-    assert np.array_equal(logreg_mod.fit(Xs, y, **dict(hp, epochs=20)).coef, fitted)
+    assert np.array_equal(logreg_mod.fit(Xs, y, dict(hp, epochs=20), 0).coef, fitted)
 
 
 def finished_within(seconds, fn, *args, **kwargs):
@@ -1175,7 +1207,7 @@ def _separable_standardized(seed):
 
 
 def _losses_by_epochs(Xs, y, l2, tol, epochs):
-    return [logreg_mod.loss(logreg_mod.fit(Xs, y, l2=l2, epochs=e, tol=tol).coef, Xs, y, l2)
+    return [logreg_mod.loss(logreg_mod.fit(Xs, y, dict(l2=l2, epochs=e, tol=tol), 0).coef, Xs, y, l2)
             for e in range(epochs)]
 
 
@@ -1183,11 +1215,11 @@ def _losses_by_epochs(Xs, y, l2, tol, epochs):
 def test_logreg_fit_on_separable_data_without_penalty_stops_finite(seed):
     Xs, y = _separable_standardized(seed)
     epochs = DEFAULT_HYPERPARAMS["logistic_regression"]["epochs"]
-    coef = finished_within(10.0, logreg_mod.fit, Xs, y, l2=0.0, epochs=epochs, tol=0.0).coef
+    coef = finished_within(10.0, logreg_mod.fit, Xs, y, dict(l2=0.0, epochs=epochs, tol=0.0), 0).coef
     assert np.isfinite(coef).all()
     assert logreg_mod.loss(coef, Xs, y, 0.0) < logreg_mod.loss(np.zeros(3), Xs, y, 0.0)
     # It stops once no halved step lowers the loss, and the loss never rises.
-    assert np.array_equal(logreg_mod.fit(Xs, y, l2=0.0, epochs=100, tol=0.0).coef, coef)
+    assert np.array_equal(logreg_mod.fit(Xs, y, dict(l2=0.0, epochs=100, tol=0.0), 0).coef, coef)
     losses = _losses_by_epochs(Xs, y, 0.0, 0.0, 60)
     assert all(b <= a for a, b in zip(losses, losses[1:]))
 
@@ -1197,7 +1229,7 @@ def test_logreg_fit_halves_a_step_that_overshoots():
     Xs = np.array([[-0.295, -0.059], [0.764, 0.873], [-2.125, -1.532], [0.196, -0.938],
                    [-0.281, -0.251], [1.171, 0.204], [0.569, 1.703]])
     y = np.array([1, 1, 0, 0, 0, 0, 1], dtype=np.uint8)
-    coef = finished_within(10.0, logreg_mod.fit, Xs, y, l2=1e-4, epochs=2000, tol=1e-8).coef
+    coef = finished_within(10.0, logreg_mod.fit, Xs, y, dict(l2=1e-4, epochs=2000, tol=1e-8), 0).coef
     assert np.linalg.norm(logreg_mod.gradient(coef, Xs, y, 1e-4)) < 1e-8
     losses = _losses_by_epochs(Xs, y, 1e-4, 1e-8, 12)
     assert all(b <= a for a, b in zip(losses, losses[1:]))
@@ -1214,7 +1246,7 @@ def test_logreg_trains_on_two_samples_without_penalty():
 def test_logreg_fit_with_one_epoch_takes_one_newton_step():
     Xs, y = _separable_standardized(3)
     l2 = 1e-4
-    coef = finished_within(10.0, logreg_mod.fit, Xs, y, l2=l2, epochs=1, tol=1e-8).coef
+    coef = finished_within(10.0, logreg_mod.fit, Xs, y, dict(l2=l2, epochs=1, tol=1e-8), 0).coef
     # From zero every p(1 - p) is 1/4.
     A = np.column_stack((np.ones(len(y)), Xs))
     hessian = 0.25 * A.T @ A / len(y) + np.diag([0.0, l2, l2])
@@ -1223,12 +1255,12 @@ def test_logreg_fit_with_one_epoch_takes_one_newton_step():
     assert any(math.isclose(t, 0.5**j, rel_tol=1e-9) for j in range(31))
     assert np.allclose(coef, t * step, rtol=1e-9, atol=1e-12)
     assert logreg_mod.loss(coef, Xs, y, l2) < logreg_mod.loss(np.zeros(3), Xs, y, l2)
-    assert not np.array_equal(logreg_mod.fit(Xs, y, l2=l2, epochs=2, tol=1e-8).coef, coef)
+    assert not np.array_equal(logreg_mod.fit(Xs, y, dict(l2=l2, epochs=2, tol=1e-8), 0).coef, coef)
 
 
 def test_logreg_fit_with_zero_epochs_returns_zeros():
     Xs, y = _separable_standardized(4)
-    coef = finished_within(10.0, logreg_mod.fit, Xs, y, l2=1e-4, epochs=0, tol=1e-8).coef
+    coef = finished_within(10.0, logreg_mod.fit, Xs, y, dict(l2=1e-4, epochs=0, tol=1e-8), 0).coef
     assert np.array_equal(coef, np.zeros(3))
 
 
@@ -1291,7 +1323,7 @@ def test_logreg_scores_of_finite_logits_are_the_sigmoid_bit_for_bit():
     for coef in (np.array([0.3, -4.0, 2.5]), np.array([-14.2, -11.6, -4.1]), np.array([5.0, 20.0, 0.0])):
         params = logreg_mod.LogisticParams(coef=coef)
         want = logreg_mod._sigmoid(coef[0] + Xs @ coef[1:])
-        got = logreg_mod.scores(params, Xs)
+        got = logreg_mod.scores(params, {}, Xs)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert {0.0, 1.0} <= set(got.tolist())
 
@@ -1436,7 +1468,7 @@ def test_logreg_document_with_a_learning_rate_loads_and_predicts_from_its_coef()
     model = model_from_dict(json.loads(json.dumps(doc)))
     assert model.hyperparams["learning_rate"] == 0.1
     q = np.random.default_rng(4).uniform(0, 7, size=(300, 2))
-    want = logreg_mod.scores(logreg_mod.LogisticParams(coef=np.array(coef)), model.scaling.apply(q))
+    want = logreg_mod.scores(logreg_mod.LogisticParams(coef=np.array(coef)), {}, model.scaling.apply(q))
     assert np.array_equal(predict_batch(model, q)[1], want)
 
 
@@ -1633,6 +1665,94 @@ def test_mutated_trees_documents_are_rejected_or_predict_as_their_trees_say():
     # Most edits break the document, numbers written as strings among them;
     # huge thresholds still load.
     assert 0 < rejected.count(False) < rejected.count(True)
+
+
+def _load_and_predict(doc, queries):
+    """("rejected", None) when loading raises ModelFormatError, ("scored",
+    scores) when ``predict_batch`` returns, or ("not finite", message) when
+    it raises ValueError."""
+    try:
+        model = model_from_dict(doc)
+    except ModelFormatError:
+        return "rejected", None
+    try:
+        return "scored", predict_batch(model, queries)[1]
+    except ValueError as exc:
+        return "not finite", str(exc)
+
+
+def _flat_document_mutations(doc, rng):
+    """Edits (path, new value) of a knn or logreg model document: NaN, inf
+    and huge numbers in the points, coef and scaling, whole arrays scaled
+    by 1e300, truncated points or labels, labels and k of the wrong value
+    or type, rows of 1 or 3 values, and fields retyped to strings or lists."""
+    params = doc["params"]
+    arrays = [("scaling", "mean"), ("scaling", "std")]
+    cases = []
+    if "points" in params:
+        points, labels = params["points"], params["labels"]
+        n = len(points)
+        i = int(rng.integers(n))
+        spots = [("params", "points", i, int(rng.integers(2)))]
+        cases += [
+            (("params", "points"), [[v * 1e300 for v in row] for row in points]),
+            (("params", "points"), [[-v * 1e300 for v in row] for row in points]),
+            (("params", "points"), points[: int(rng.integers(n))]),
+            (("params", "labels"), labels[: int(rng.integers(n))]),
+            (("params", "points", i), points[i][:1]),
+            (("params", "points", i), points[i] + [0.5]),
+            (("params", "points"), [row[:1] for row in points]),
+            (("params", "points"), [row + [0.5] for row in points]),
+        ]
+        cases += [(("params", "labels", i), v) for v in (2, True, "1")]
+        cases += [(("hyperparams", "k"), v) for v in (0, 10**30, "10", [10])]
+        arrays += [("params", "points"), ("params", "labels")]
+    else:
+        spots = [("params", "coef", int(rng.integers(3)))]
+        cases.append((("params", "coef"), [v * 1e300 for v in params["coef"]]))
+        arrays.append(("params", "coef"))
+    spots += [("scaling", "mean", int(rng.integers(2))), ("scaling", "std", int(rng.integers(2)))]
+    for v in (math.nan, math.inf, -math.inf, 1e308, -1e308):
+        cases += [(path, v) for path in spots]
+    for path in arrays:
+        target = doc
+        for key in path:
+            target = target[key]
+        cases += [(path, str(target)), (path, [[v] for v in target])]
+    cases += [((name,), list(doc[name].values())) for name in ("params", "scaling")]
+    return cases
+
+
+# Huge numbers overflow on their way to predict_batch's finiteness check.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mutated_knn_and_logreg_documents_are_rejected_or_predict_finite_scores():
+    # A mutated document must raise ModelFormatError on load, or predict
+    # finite scores, or fail predict_batch's finiteness check; each case
+    # within 10 s.
+    queries = np.random.default_rng(34).uniform(-1.0, 7.0, size=(300, 2))
+    rng = np.random.default_rng(35)
+    outcomes = set()
+    for kind in ("knn", "logreg"):
+        text = json.dumps(model_to_dict(train(_noisy_samples(200, seed=34), kind=kind, seed=0)))
+        for round_ in range(3):
+            for path, value in _flat_document_mutations(json.loads(text), rng):
+                doc = json.loads(text)
+                target = doc
+                for key in path[:-1]:
+                    target = target[key]
+                target[path[-1]] = value
+                doc = json.loads(json.dumps(doc))
+                outcome, detail = finished_within(10.0, _load_and_predict, doc, queries)
+                where = (kind, round_, path, value if np.isscalar(value) else type(value))
+                outcomes.add(outcome)
+                if outcome == "scored":
+                    assert np.isfinite(detail).all(), where
+                elif outcome == "not finite":
+                    assert detail in (
+                        "prediction inputs must be finite, also once standardized",
+                        "prediction scores must be finite",
+                    ), where
+    assert outcomes == {"rejected", "scored", "not finite"}
 
 
 @pytest.mark.parametrize(

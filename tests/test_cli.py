@@ -100,6 +100,15 @@ def test_train_is_deterministic(tmp_path, corpus):
     assert m1.read_bytes() == m2.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_train_rejects_a_negative_seed(tmp_path, corpus, capsys, kind):
+    out = tmp_path / "m.json"
+    args = ["train", "--data", str(corpus), "--kind", kind, "--seed", "-1", "--out", str(out)]
+    assert main(args) == 1
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_rejects_split_one(tmp_path, corpus, capsys):
     with pytest.raises(SystemExit) as exc:
         main(
