@@ -37,6 +37,7 @@ from .core import (
     Frame,
     GroupSet,
     PairSample,
+    PairTable,
     RelationMatrix,
     ValidationError,
     normalize_angle,
@@ -79,6 +80,7 @@ __all__ = [
     "GroupShape",
     "KINDS",
     "PairSample",
+    "PairTable",
     "PlacementError",
     "RelationMatrix",
     "SizeStats",

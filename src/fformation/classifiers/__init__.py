@@ -14,7 +14,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..core import Frame, PairSample, RelationMatrix
+from ..core import Frame, PairSample, PairTable, RelationMatrix
 from ..features import pair_features, pair_indices
 from .base import (
     DEFAULT_HYPERPARAMS,
@@ -57,12 +57,14 @@ __all__ = [
 
 
 def train(
-    samples: Sequence[PairSample],
+    pairs: PairTable | Sequence[PairSample],
     kind: str,
     hyperparams: Optional[dict[str, Any]] = None,
     seed: int = 0,
 ) -> TrainedModel:
-    """Fit a classifier of the given kind on labeled pair samples.
+    """Fit a classifier of the given kind on labeled pairs: a PairTable
+    (see :func:`features.pairwise_deconstruct`) or a sequence of
+    PairSamples; the same pairs in either form give equal models.
 
     Features are z-score standardized with statistics from the training
     set; the statistics are stored in the returned model and reapplied
@@ -74,7 +76,7 @@ def train(
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise TrainingError(f"seed must be an integer >= 0, got {seed!r}")
     seed = int(seed)
-    X, y = samples_to_arrays(samples)
+    X, y = samples_to_arrays(pairs)
     scaling = fit_scaling(X)
     params = REGISTRY[kind].fit(scaling.apply(X), y, hp, seed)
     return TrainedModel(kind=kind, scaling=scaling, seed=seed, hyperparams=hp, params=params)
@@ -102,16 +104,14 @@ def predict(model: TrainedModel, distance: float, effort_angle: float) -> tuple[
     return int(labels[0]), float(scores[0])
 
 
-def pairwise_accuracy(model: TrainedModel, samples: Sequence[PairSample]) -> float:
-    """Fraction of labeled samples whose predicted label matches."""
-    if not samples:
+def pairwise_accuracy(model: TrainedModel, pairs: PairTable | Sequence[PairSample]) -> float:
+    """Fraction of labeled pairs (a PairTable or PairSamples) whose
+    predicted label matches."""
+    table = PairTable.from_samples(pairs, "pairwise_accuracy")
+    if not len(table):
         raise ValueError("no samples to score")
-    if any(s.label is None for s in samples):
-        raise ValueError("pairwise_accuracy requires labeled samples")
-    X = np.array([[s.distance, s.effort_angle] for s in samples], dtype=np.float64)
-    y = np.array([s.label for s in samples], dtype=np.uint8)
-    labels, _ = predict_batch(model, X)
-    return float((labels == y).mean())
+    labels, _ = predict_batch(model, table.X)
+    return float((labels == table.y).mean())
 
 
 @lru_cache(maxsize=32)

@@ -10,7 +10,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..core import PairSample
+from ..core import PairSample, PairTable
 
 
 class TrainingError(ValueError):
@@ -108,6 +108,12 @@ def _check(ok, what: str) -> None:
         raise ModelFormatError(f"malformed model document: {what}")
 
 
+def _known(raw: dict, keys: tuple[str, ...], what: str) -> None:
+    """Reject a key of ``raw`` that loading does not read."""
+    for key in raw:
+        _check(key in keys, f"unknown key {key!r} in {what}")
+
+
 def _typed(items, types: set, what: str, accepted: str) -> None:
     """Reject items of another type: numpy would parse the string "0.5" and
     read true as 1. One pass of C-level calls, with no Python loop."""
@@ -159,27 +165,24 @@ class TrainedModel:
     params: Any
 
 
-def samples_to_arrays(samples: Sequence[PairSample]) -> tuple[np.ndarray, np.ndarray]:
-    """Order-normalized (X, y) matrices from labeled samples.
+def samples_to_arrays(pairs: PairTable | Sequence[PairSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Order-normalized (X, y) matrices from labeled pairs: a PairTable or
+    a sequence of PairSamples.
 
-    Samples are sorted by (distance, effort_angle, label, ids) so that
+    Rows are sorted by (distance, effort_angle, label, ids) so that
     training is deterministic regardless of caller ordering. Raises
     TrainingError for unlabeled samples, fewer than 2 samples,
     single-class label sets, zero-variance features, or labels other
     than 0 and 1.
     """
-    if any(s.label is None for s in samples):
-        raise TrainingError("training requires labeled samples")
-    if len(samples) < 2:
-        raise TrainingError(f"need at least 2 labeled samples, got {len(samples)}")
-    distance = np.array([s.distance for s in samples], dtype=np.float64)
-    effort_angle = np.array([s.effort_angle for s in samples], dtype=np.float64)
-    labels = np.array([s.label for s in samples])
-    id_a = np.array([s.id_a for s in samples])
-    id_b = np.array([s.id_b for s in samples])
+    table = PairTable.from_samples(pairs, "training", TrainingError)
+    if len(table) < 2:
+        raise TrainingError(f"need at least 2 labeled samples, got {len(table)}")
+    distance, effort_angle = table.X.T
+    labels = table.y
     # lexsort is stable and takes its last key as the primary one.
-    order = np.lexsort((id_b, id_a, labels, effort_angle, distance))
-    X = np.column_stack((distance, effort_angle))[order]
+    order = np.lexsort((table.ids[:, 1], table.ids[:, 0], labels, effort_angle, distance))
+    X = table.X[order]
     if not np.isfinite(X).all():
         raise TrainingError("non-finite feature values in training samples")
     if len(np.unique(labels)) < 2:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import _check, _floats, _ints
+from .base import _check, _floats, _ints, _known
 
 # Training points per grid cell, on average over the bounding box.
 _POINTS_PER_CELL = 4.0
@@ -140,6 +140,7 @@ def from_params(raw: dict, hyperparams: dict) -> KnnParams:
     _check(labels.shape == (points.shape[0],), "knn needs one label per point")
     _check(np.isin(labels, (0, 1)).all(), "knn labels must be 0 or 1")
     _check("k" in hyperparams, "knn needs hyperparams.k")
+    _known(raw, ("points", "labels"), "knn params")
     return KnnParams(points=points, labels=labels.astype(np.uint8))
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import _check, _floats
+from .base import _check, _floats, _known
 
 # A Newton step is halved at most this many times, to 2**-30 of its
 # length, before the fit stops for want of a step that lowers the loss.
@@ -109,6 +109,7 @@ def to_params(params: LogisticParams) -> dict:
 def from_params(raw: dict, hyperparams: dict) -> LogisticParams:
     coef = _floats(raw["coef"], "logreg coef")
     _check(coef.shape == (3,), "logreg coef needs 3 values")
+    _known(raw, ("coef",), "logreg params")
     return LogisticParams(coef=coef)
 
 

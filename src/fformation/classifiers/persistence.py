@@ -2,22 +2,24 @@
 
 This module writes and checks the envelope: format, version, kind, seed,
 hyperparams and scaling. The kind's module writes and checks ``params``.
-Floats are serialized with Python's shortest round-trip repr, so a
-save -> load cycle reproduces bit-identical predictions.
+Files hold the compact text of ``json.dumps`` (see ``jsonfile``). Floats
+are serialized with Python's shortest round-trip repr, so a save -> load
+cycle reproduces bit-identical predictions.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Any
 
+from ..jsonfile import read_json, write_json
 from .base import (
     FeatureScaling,
     ModelFormatError,
     TrainedModel,
     _check,
     _floats,
+    _known,
     canonical_kind,
     hyperparams_problem,
 )
@@ -25,6 +27,8 @@ from .kinds import REGISTRY
 
 FORMAT_NAME = "fformation-model"
 FORMAT_VERSION = 1
+
+_DOCUMENT_KEYS = ("format", "schema_version", "kind", "seed", "hyperparams", "scaling", "params")
 
 
 def model_to_dict(model: TrainedModel) -> dict[str, Any]:
@@ -47,6 +51,7 @@ def _scaling(raw: dict[str, Any]) -> FeatureScaling:
     std = _floats(raw["std"], "scaling.std")
     _check(mean.shape == (2,) and std.shape == (2,), "scaling.mean and scaling.std need 2 values")
     _check((std > 0.0).all(), "scaling.std must be positive")
+    _known(raw, ("mean", "std"), "scaling")
     return FeatureScaling(mean=mean, std=std)
 
 
@@ -57,8 +62,8 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
     mistyped field (a string or a boolean where a number belongs, a seed
     that is not an integer), a non-finite number or an integer too large
     for a float, a hyperparameter the kind does not have or a value outside
-    its range, scaling without a positive std, and ``params`` that the
-    kind's ``from_params`` rejects.
+    its range, scaling without a positive std, a key that loading does not
+    read, and ``params`` that the kind's ``from_params`` rejects.
     """
     try:
         if doc.get("format") != FORMAT_NAME:
@@ -71,12 +76,10 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
         problem = hyperparams_problem(kind, hyperparams)
         _check(problem is None, problem)
         _check(type(doc["seed"]) is int, "seed must be an integer")
+        params = REGISTRY[kind].from_params(doc["params"], hyperparams)
+        _known(doc, _DOCUMENT_KEYS, "the model document")
         return TrainedModel(
-            kind=kind,
-            scaling=scaling,
-            seed=doc["seed"],
-            hyperparams=hyperparams,
-            params=REGISTRY[kind].from_params(doc["params"], hyperparams),
+            kind=kind, scaling=scaling, seed=doc["seed"], hyperparams=hyperparams, params=params
         )
     except ModelFormatError:
         raise
@@ -85,17 +88,11 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
 
 
 def save_model(model: TrainedModel, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")
+    write_json(model_to_dict(model), path)
 
 
 def load_model(path: str | os.PathLike) -> TrainedModel:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path, ModelFormatError)
     if not isinstance(doc, dict):
         raise ModelFormatError(f"{path}: expected a JSON object at top level")
     return model_from_dict(doc)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .base import _check, _floats, _ints
+from .base import _check, _floats, _ints, _known
 
 # Cells of the (trees x rows) node matrix scored at once: the matrix and
 # its temporaries stay near 1 MB whatever the batch size.
@@ -331,6 +331,7 @@ def _tree(raw: dict) -> TreeArrays:
     _check(np.where(feature >= 0, split, leaf).all(),
            "tree children must follow their node inside the arrays, and leaves have none")
     _check(((value >= 0.0) & (value <= 1.0)).all(), "tree values must lie in [0, 1]")
+    _known(raw, ("feature", "threshold", "left", "right", "value"), "a tree")
     return TreeArrays(
         feature=feature.astype(np.int32),
         threshold=threshold,
@@ -341,7 +342,9 @@ def _tree(raw: dict) -> TreeArrays:
 
 
 def from_params(raw: dict, hyperparams: dict) -> ForestParams:
-    return ForestParams(trees=tuple(_tree(t) for t in raw["trees"]))
+    trees = tuple(_tree(t) for t in raw["trees"])
+    _known(raw, ("trees",), "trees params")
+    return ForestParams(trees=trees)
 
 
 def scores(params: ForestParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarray:

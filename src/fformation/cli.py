@@ -55,17 +55,6 @@ def _split_fraction(text: str) -> float:
     return value
 
 
-def _labeled_samples(frames: Sequence[Frame]) -> list:
-    samples = []
-    for frame in frames:
-        if frame.truth is None:
-            raise ValidationError(
-                f"frame {frame.frame_id} has no ground-truth groups; cannot train on it"
-            )
-        samples.extend(pairwise_deconstruct(frame))
-    return samples
-
-
 def _groups_by_frame(dataset: CanonicalDataset, path: str) -> list[tuple[int, object]]:
     pairs = []
     for frame in dataset.frames:
@@ -78,14 +67,14 @@ def _groups_by_frame(dataset: CanonicalDataset, path: str) -> list[tuple[int, ob
 def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load(args.data, args.format)
     train_frames, test_frames = split_frames(dataset.frames, args.split)
-    train_samples = _labeled_samples(train_frames)
-    model = train(train_samples, kind=args.kind, seed=args.seed)
+    train_pairs = pairwise_deconstruct(train_frames)
+    model = train(train_pairs, kind=args.kind, seed=args.seed)
     save_model(model, args.out)
-    print(f"train_pairwise_accuracy: {pairwise_accuracy(model, train_samples):.4f}")
+    print(f"train_pairwise_accuracy: {pairwise_accuracy(model, train_pairs):.4f}")
     if test_frames:
-        test_samples = _labeled_samples(test_frames)
-        if test_samples:
-            print(f"test_pairwise_accuracy: {pairwise_accuracy(model, test_samples):.4f}")
+        test_pairs = pairwise_deconstruct(test_frames)
+        if len(test_pairs):
+            print(f"test_pairwise_accuracy: {pairwise_accuracy(model, test_pairs):.4f}")
     print(f"model written to {args.out}", file=sys.stderr)
     return 0
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -140,6 +140,48 @@ class PairSample:
     distance: float
     effort_angle: float
     label: Optional[int] = None
+
+
+@dataclass(frozen=True, slots=True)
+class PairTable:
+    """Labeled pairs as arrays: row r is one unordered pair.
+
+    ``X`` holds (distance, effort_angle) rows, ``y`` the labels and ``ids``
+    the (id_a, id_b) rows with id_a < id_b. ``pairwise_deconstruct`` of a
+    sequence of frames builds one; :meth:`from_samples` one of PairSamples.
+    Iterating gives the rows as PairSamples.
+    """
+
+    X: np.ndarray
+    y: np.ndarray
+    ids: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def __iter__(self):
+        for (id_a, id_b), (d, e), label in zip(self.ids.tolist(), self.X.tolist(), self.y.tolist()):
+            yield PairSample(id_a, id_b, d, e, label)
+
+    @classmethod
+    def from_samples(
+        cls, pairs: "PairTable | Sequence[PairSample]", caller: str, error: type = ValueError
+    ) -> "PairTable":
+        """``pairs`` as a table; a table is returned as it is. Raises
+        ``error("<caller> requires labeled samples")`` for an unlabeled one."""
+        if isinstance(pairs, PairTable):
+            return pairs
+        if any(s.label is None for s in pairs):
+            raise error(f"{caller} requires labeled samples")
+        distance = np.array([s.distance for s in pairs], dtype=np.float64)
+        effort_angle = np.array([s.effort_angle for s in pairs], dtype=np.float64)
+        id_a = np.array([s.id_a for s in pairs])
+        id_b = np.array([s.id_b for s in pairs])
+        return cls(
+            X=np.column_stack((distance, effort_angle)),
+            y=np.array([s.label for s in pairs]),
+            ids=np.column_stack((id_a, id_b)),
+        )
 
 
 @dataclass(frozen=True, slots=True)

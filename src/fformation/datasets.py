@@ -17,6 +17,8 @@ The canonical interchange form is a single JSON document:
       ]
     }
 
+It is shown indented here; files are written as the compact text of
+``json.dumps`` (see ``jsonfile``), and loading accepts any JSON whitespace.
 Floats are written with Python's shortest round-trip repr, so write->load
 is lossless. The two external loaders each pin one concrete CSV layout
 (documented below) and fail loudly on any deviation rather than guessing.
@@ -25,12 +27,13 @@ is lossless. The two external loaders each pin one concrete CSV layout
 from __future__ import annotations
 
 import csv
-import json
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import AgentPose, Frame, GroupSet, ValidationError, validate_frame
+from .jsonfile import read_json, write_json
 
 SCHEMA_VERSION = 1
 
@@ -81,73 +84,91 @@ def _require(cond: bool, msg: str) -> None:
         raise DatasetFormatError(msg)
 
 
-def _frame_from_dict(doc: dict, where: str) -> Frame:
-    _require(isinstance(doc, dict), f"{where}: frame entry must be an object")
-    _require("frame_id" in doc, f"{where}: missing frame_id")
-    _require("agents" in doc and isinstance(doc["agents"], list), f"{where}: missing agents list")
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _error(path, frame: int, problem: str, agent: Optional[int] = None) -> DatasetFormatError:
+    """The error for frame entry ``frame`` of ``path``, or for its agent
+    entry ``agent``. Messages are made only for a check that failed."""
+    spot = f"{path}, frame entry {frame}"
+    if agent is not None:
+        spot += f", agent entry {agent}"
+    return DatasetFormatError(f"{spot}: {problem}")
+
+
+_AGENT_FIELDS = ("id", "x", "y", "body_theta")
+_AGENT_KEYS = frozenset(_AGENT_FIELDS)
+
+
+def _frame_from_dict(doc: dict, path, index: int) -> Frame:
+    """Frame entry ``index`` of the file ``path``, checked."""
+    if not isinstance(doc, dict):
+        raise _error(path, index, "frame entry must be an object")
+    if "frame_id" not in doc:
+        raise _error(path, index, "missing frame_id")
+    if not isinstance(doc.get("agents"), list):
+        raise _error(path, index, "missing agents list")
     frame_id = doc["frame_id"]
-    _require(isinstance(frame_id, int), f"{where}: frame_id must be an integer")
+    if not _integer(frame_id):
+        raise _error(path, index, "frame_id must be an integer")
     agents = []
     for k, a in enumerate(doc["agents"]):
-        spot = f"{where}, agent entry {k}"
-        _require(isinstance(a, dict), f"{spot}: must be an object")
-        for field in ("id", "x", "y", "body_theta"):
-            _require(field in a, f"{spot}: missing field {field!r}")
-        _require(isinstance(a["id"], int), f"{spot}: id must be an integer")
-        for field in ("x", "y", "body_theta"):
-            _require(
-                isinstance(a[field], (int, float)) and not isinstance(a[field], bool),
-                f"{spot}: field {field!r} must be a number",
-            )
+        if not isinstance(a, dict):
+            raise _error(path, index, "must be an object", k)
+        if not a.keys() >= _AGENT_KEYS:
+            field = next(f for f in _AGENT_FIELDS if f not in a)
+            raise _error(path, index, f"missing field {field!r}", k)
+        if not _integer(a["id"]):
+            raise _error(path, index, "id must be an integer", k)
+        if not (_number(a["x"]) and _number(a["y"]) and _number(a["body_theta"])):
+            field = next(f for f in ("x", "y", "body_theta") if not _number(a[f]))
+            raise _error(path, index, f"field {field!r} must be a number", k)
         head = a.get("head_theta")
-        if head is not None:
-            _require(
-                isinstance(head, (int, float)) and not isinstance(head, bool),
-                f"{spot}: head_theta must be a number or null",
-            )
+        if head is not None and not _number(head):
+            raise _error(path, index, "head_theta must be a number or null", k)
         try:
             agents.append(AgentPose.make(a["id"], a["x"], a["y"], a["body_theta"], head))
         except (ValueError, OverflowError) as exc:  # an integer too large for a float overflows
-            raise DatasetFormatError(f"{spot}: {exc}") from exc
+            raise _error(path, index, str(exc), k) from exc
     timestamp = doc.get("timestamp")
     if timestamp is not None:
-        _require(
-            isinstance(timestamp, (int, float)) and not isinstance(timestamp, bool),
-            f"{where}: timestamp must be a number",
-        )
+        if not _number(timestamp):
+            raise _error(path, index, "timestamp must be a number")
         try:
             timestamp = float(timestamp)
         except OverflowError as exc:
-            raise DatasetFormatError(f"{where}: timestamp: {exc}") from exc
+            raise _error(path, index, f"timestamp: {exc}") from exc
+        if not math.isfinite(timestamp):
+            raise _error(path, index, "timestamp must be finite")
     truth: Optional[GroupSet] = None
     if "groups" in doc:
         raw = doc["groups"]
-        _require(isinstance(raw, list), f"{where}: groups must be a list of lists")
+        if not isinstance(raw, list):
+            raise _error(path, index, "groups must be a list of lists")
         for g in raw:
-            _require(
-                isinstance(g, list) and all(isinstance(a, int) for a in g),
-                f"{where}: each group must be a list of integer agent ids",
-            )
+            if not (isinstance(g, list) and all(map(_integer, g))):
+                raise _error(path, index, "each group must be a list of integer agent ids")
         truth = GroupSet.from_iterable(raw)
     return Frame(frame_id=frame_id, agents=tuple(agents), timestamp=timestamp, truth=truth)
 
 
 def save_canonical(dataset: CanonicalDataset, path: str | os.PathLike) -> None:
-    doc = {
-        "schema_version": dataset.schema_version,
-        "frames": [_frame_to_dict(f) for f in dataset.frames],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(
+        {
+            "schema_version": dataset.schema_version,
+            "frames": [_frame_to_dict(f) for f in dataset.frames],
+        },
+        path,
+    )
 
 
 def load_canonical(path: str | os.PathLike) -> CanonicalDataset:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path, DatasetFormatError)
     _require(isinstance(doc, dict), f"{path}: top level must be an object")
     version = doc.get("schema_version")
     _require(
@@ -155,9 +176,7 @@ def load_canonical(path: str | os.PathLike) -> CanonicalDataset:
         f"{path}: unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})",
     )
     _require(isinstance(doc.get("frames"), list), f"{path}: missing frames list")
-    frames = [
-        _frame_from_dict(f, f"{path}, frame entry {i}") for i, f in enumerate(doc["frames"])
-    ]
+    frames = [_frame_from_dict(f, path, i) for i, f in enumerate(doc["frames"])]
     try:
         return CanonicalDataset.from_frames(frames)
     except ValidationError as exc:

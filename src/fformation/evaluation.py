@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .core import GroupSet, PairSample
+from .core import GroupSet, PairSample, PairTable
 
 DEFAULT_TOLERANCE = Fraction(2, 3)
 
@@ -191,14 +191,14 @@ def evaluate(
     )
 
 
-def majority_baseline(samples: Sequence[PairSample]) -> float:
-    """Pairwise accuracy of always predicting the most frequent label."""
-    if not samples:
+def majority_baseline(pairs: PairTable | Sequence[PairSample]) -> float:
+    """Pairwise accuracy of always predicting the most frequent label of
+    labeled pairs: a PairTable or PairSamples."""
+    table = PairTable.from_samples(pairs, "majority_baseline")
+    if not len(table):
         raise ValueError("majority_baseline requires samples")
-    if any(s.label is None for s in samples):
-        raise ValueError("majority_baseline requires labeled samples")
-    positives = sum(s.label for s in samples)
-    return max(positives, len(samples) - positives) / len(samples)
+    positives = int(table.y.sum())
+    return max(positives, len(table) - positives) / len(table)
 
 
 def format_report(report: EvalReport) -> str:

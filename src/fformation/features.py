@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import TWO_PI, Frame, PairSample, AgentPose, validate_frame
+from .core import TWO_PI, AgentPose, Frame, PairSample, PairTable, ValidationError, validate_frame
 
 __all__ = ["distance", "effort_angle", "pair_features", "pair_indices", "pairwise_deconstruct"]
 
@@ -141,14 +141,25 @@ def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.n
     return offsets, ij[0], ij[1], X
 
 
-def pairwise_deconstruct(frame: Frame) -> list[PairSample]:
-    """Break a frame into one PairSample per unordered agent pair.
+def pairwise_deconstruct(frames: Frame | Sequence[Frame]) -> list[PairSample] | PairTable:
+    """Break a frame into one PairSample per unordered agent pair, or
+    many frames into one PairTable.
 
-    Returns exactly n*(n-1)/2 samples (empty when n < 2). When the frame
-    carries ground truth, each sample is labeled 1 iff both agents share
-    a truth group; pairs with an ungrouped agent get label 0. Without
-    truth the samples are unlabeled.
+    A frame gives exactly n*(n-1)/2 samples (empty when n < 2), in the
+    order of ``combinations`` of its agents. When the frame carries ground
+    truth, each sample is labeled 1 iff both agents share a truth group;
+    pairs with an ungrouped agent get label 0. Without truth the samples
+    are unlabeled.
+
+    A sequence of frames, which must all carry ground truth (else
+    ValidationError), gives the same pairs, features and labels as one
+    table from one :func:`pair_features` call, in its row order. One call
+    a frame stays a scalar loop: a table of one frame costs more than the
+    loop over its few pairs.
     """
+    if not isinstance(frames, Frame):
+        return _pair_table(frames)
+    frame = frames
     validate_frame(frame)
     membership = frame.truth.membership() if frame.truth is not None else None
     samples = []
@@ -171,3 +182,30 @@ def pairwise_deconstruct(frame: Frame) -> list[PairSample]:
             )
         )
     return samples
+
+
+def _pair_table(frames: Sequence[Frame]) -> PairTable:
+    frames = list(frames)
+    ids: list[int] = []
+    groups: list[int] = []
+    for frame in frames:
+        if frame.truth is None:
+            raise ValidationError(
+                f"frame {frame.frame_id} has no ground-truth groups; cannot train on it"
+            )
+        membership = frame.truth.membership()
+        frame_ids = sorted(a.agent_id for a in frame.agents)
+        ids += frame_ids
+        # Truth groups have indices >= 0; each ungrouped agent takes a
+        # negative one of its own, so its pairs are labeled 0.
+        groups += [membership.get(a, -1 - k) for k, a in enumerate(frame_ids)]
+    offsets, i, j, X = pair_features(frames)
+    sizes = [len(frame.agents) for frame in frames]
+    first = np.repeat(np.array([0, *accumulate(sizes)], dtype=np.intp)[:-1], np.diff(offsets))
+    a, b = i + first, j + first
+    ids_array, groups_array = np.array(ids), np.array(groups, dtype=np.intp)
+    return PairTable(
+        X=X,
+        y=(groups_array[a] == groups_array[b]).view(np.uint8),
+        ids=np.column_stack((ids_array[a], ids_array[b])),
+    )

@@ -9,7 +9,6 @@ labeled by construction.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -19,6 +18,7 @@ import numpy as np
 
 from .core import AgentPose, Frame, GroupSet
 from .datasets import CanonicalDataset, DatasetFormatError
+from .jsonfile import read_json, write_json
 
 # Default circle radius per group size, in meters.
 DEFAULT_TIGHTNESS = {2: 0.78, 3: 0.80, 4: 0.83, 5: 0.87, 6: 0.90, 7: 0.95}
@@ -115,11 +115,7 @@ class SynthConfig:
 
 
 def load_synth_config(path: str | os.PathLike) -> SynthConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    doc = read_json(path, DatasetFormatError)
     if not isinstance(doc, dict):
         raise DatasetFormatError(f"{path}: expected a JSON object")
     try:
@@ -129,9 +125,7 @@ def load_synth_config(path: str | os.PathLike) -> SynthConfig:
 
 
 def save_synth_config(config: SynthConfig, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=1)
-        fh.write("\n")
+    write_json(config.to_dict(), path)
 
 
 def _place_centers(

@@ -35,7 +35,8 @@ from fformation.classifiers.base import (
     resolve_hyperparams,
     samples_to_arrays,
 )
-from fformation.core import AgentPose, Frame, PairSample
+from fformation.core import AgentPose, Frame, PairSample, PairTable
+from fformation.evaluation import majority_baseline
 from fformation.features import pairwise_deconstruct
 from fformation.synthetic import SynthConfig, generate_synthetic
 
@@ -111,6 +112,50 @@ def test_samples_to_arrays_orders_as_sorted_samples_under_ties():
               for s in pairwise_deconstruct(f)]
     for got, want in zip(samples_to_arrays(corpus), reference_samples_to_arrays(corpus)):
         assert np.array_equal(got, want)
+
+
+def _corpus_pairs():
+    """The training pairs of a corpus as a PairTable and as PairSamples."""
+    frames = generate_synthetic(SynthConfig(n_frames=60, seed=21)).frames
+    return pairwise_deconstruct(frames), [s for f in frames for s in pairwise_deconstruct(f)]
+
+
+def test_samples_to_arrays_of_a_table_equal_those_of_its_samples():
+    table, samples = _corpus_pairs()
+    for got, want in zip(samples_to_arrays(table), samples_to_arrays(samples)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert samples_to_arrays(PairTable.from_samples(samples, "test"))[0].tobytes() == \
+        samples_to_arrays(samples)[0].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_training_on_a_table_equals_training_on_its_samples(kind):
+    table, samples = _corpus_pairs()
+    from_table = train(table, kind=kind, seed=4)
+    from_samples = train(samples, kind=kind, seed=4)
+    assert model_to_dict(from_table) == model_to_dict(from_samples)
+    assert pairwise_accuracy(from_table, table) == pairwise_accuracy(from_samples, samples)
+    assert majority_baseline(table) == majority_baseline(samples)
+
+
+def test_a_table_is_checked_as_its_samples_are():
+    table, _ = _corpus_pairs()
+    single = PairTable(X=table.X[:1], y=table.y[:1], ids=table.ids[:1])
+    with pytest.raises(TrainingError, match="at least 2"):
+        train(single, kind="logreg")
+    one_class = PairTable(X=table.X, y=np.zeros_like(table.y), ids=table.ids)
+    with pytest.raises(TrainingError, match="single class"):
+        train(one_class, kind="logreg")
+    empty = PairTable(X=table.X[:0], y=table.y[:0], ids=table.ids[:0])
+    with pytest.raises(ValueError, match="no samples to score"):
+        pairwise_accuracy(train(table, kind="logreg"), empty)
+    with pytest.raises(ValueError, match="majority_baseline requires samples"):
+        majority_baseline(empty)
+    unlabeled = [PairSample(1, 2, 1.0, 1.0)]
+    with pytest.raises(ValueError, match="pairwise_accuracy requires labeled samples"):
+        pairwise_accuracy(train(table, kind="logreg"), unlabeled)
+    with pytest.raises(ValueError, match="majority_baseline requires labeled samples"):
+        majority_baseline(unlabeled)
 
 
 def test_samples_to_arrays_rejects_labels_other_than_0_and_1():
@@ -1592,7 +1637,8 @@ def _tree_document_mutations(trees, rng):
     whole field, new value) of a model's tree documents, each with whether
     it keeps every prediction: non-finite and huge thresholds, children
     rewired backwards, onto their node or out of range, truncated node
-    arrays, and fields retyped to strings or lists."""
+    arrays, fields retyped to strings or lists, and a key added that
+    loading does not read."""
     t = int(rng.integers(len(trees)))
     tree = trees[t]
     m = len(tree["feature"])
@@ -1625,6 +1671,7 @@ def _tree_document_mutations(trees, rng):
     k = int(rng.integers(1, m))
     cases.append(((t, None, None, {name: a[:k] for name, a in tree.items()}), False))
     cases.append(((t, None, None, list(tree.values())), False))
+    cases.append(((t, "extra", None, tree["value"]), False))
     return cases
 
 
@@ -1645,6 +1692,7 @@ def test_mutated_trees_documents_are_rejected_or_predict_as_their_trees_say():
         for (t, name, node, value), keeps_predictions in cases:
             doc = json.loads(text)
             trees = doc["params"]["trees"]
+            added = name is not None and name not in trees[t]
             if name is None:
                 trees[t] = value
             elif node is None:
@@ -1654,6 +1702,8 @@ def test_mutated_trees_documents_are_rejected_or_predict_as_their_trees_say():
             doc = json.loads(json.dumps(doc))
             outcome = finished_within(10.0, _load_and_score, doc, queries)
             rejected.append(outcome is None)
+            if added:
+                assert outcome is None, (round_, t, name)
             if outcome is None:
                 continue
             got, walked = outcome
@@ -1685,7 +1735,8 @@ def _flat_document_mutations(doc, rng):
     """Edits (path, new value) of a knn or logreg model document: NaN, inf
     and huge numbers in the points, coef and scaling, whole arrays scaled
     by 1e300, truncated points or labels, labels and k of the wrong value
-    or type, rows of 1 or 3 values, and fields retyped to strings or lists."""
+    or type, rows of 1 or 3 values, fields retyped to strings or lists, and
+    keys added that loading does not read."""
     params = doc["params"]
     arrays = [("scaling", "mean"), ("scaling", "std")]
     cases = []
@@ -1720,6 +1771,8 @@ def _flat_document_mutations(doc, rng):
             target = target[key]
         cases += [(path, str(target)), (path, [[v] for v in target])]
     cases += [((name,), list(doc[name].values())) for name in ("params", "scaling")]
+    # Keys that loading does not read.
+    cases += [(("extra",), 1), (("scaling", "0"), [0.0, 1.0]), (("params", "0"), [])]
     return cases
 
 
@@ -1740,11 +1793,14 @@ def test_mutated_knn_and_logreg_documents_are_rejected_or_predict_finite_scores(
                 target = doc
                 for key in path[:-1]:
                     target = target[key]
+                added = isinstance(target, dict) and path[-1] not in target
                 target[path[-1]] = value
                 doc = json.loads(json.dumps(doc))
                 outcome, detail = finished_within(10.0, _load_and_predict, doc, queries)
                 where = (kind, round_, path, value if np.isscalar(value) else type(value))
                 outcomes.add(outcome)
+                if added:
+                    assert outcome == "rejected", where
                 if outcome == "scored":
                     assert np.isfinite(detail).all(), where
                 elif outcome == "not finite":
@@ -1787,6 +1843,31 @@ def test_load_model_rejects_mistyped_numbers_and_hyperparameters(kind, keys, val
         target = target[key]
     target[keys[-1]] = value
     with pytest.raises(ModelFormatError, match="malformed model document"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "kind, keys, where",
+    [
+        ("knn", ("junk",), "the model document"),
+        ("knn", ("scaling", "0"), "scaling"),
+        ("knn", ("params", "0"), "knn params"),
+        ("trees", ("params", "n_trees"), "trees params"),
+        ("trees", ("params", "trees", 0, "depth"), "a tree"),
+        ("logreg", ("params", "learning_rate"), "logreg params"),
+        ("logreg", ("scaling", "var"), "scaling"),
+        ("logreg", ("version",), "the model document"),
+    ],
+)
+def test_load_model_rejects_a_key_it_does_not_read(kind, keys, where):
+    doc = model_to_dict(train(separable_samples(40, seed=15), kind=kind,
+                              hyperparams={"n_trees": 2} if kind == "trees" else None, seed=0))
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = 1
+    with pytest.raises(ModelFormatError, match=f"unknown key '{keys[-1]}' in {where}"):
         model_from_dict(doc)
 
 

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from fformation.classifiers import load_model, model_to_dict, pairwise_accuracy, save_model, train
 from fformation.cli import main
-from fformation.datasets import load_canonical
+from fformation.datasets import load_canonical, save_canonical, split_frames
+from fformation.features import pairwise_deconstruct
 from fformation.synthetic import SynthConfig, save_synth_config
 
 
@@ -98,6 +100,34 @@ def test_train_is_deterministic(tmp_path, corpus):
     assert main(args + ["--out", str(m1)]) == 0
     assert main(args + ["--out", str(m2)]) == 0
     assert m1.read_bytes() == m2.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_train_prints_and_writes_what_training_on_pair_samples_gives(tmp_path, corpus, capsys, kind):
+    out = tmp_path / "m.json"
+    assert main(["train", "--data", str(corpus), "--kind", kind, "--seed", "3", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    train_frames, test_frames = split_frames(load_canonical(corpus).frames, 0.6)
+    train_samples = [s for f in train_frames for s in pairwise_deconstruct(f)]
+    test_samples = [s for f in test_frames for s in pairwise_deconstruct(f)]
+    model = train(train_samples, kind=kind, seed=3)
+    assert printed == (
+        f"train_pairwise_accuracy: {pairwise_accuracy(model, train_samples):.4f}\n"
+        f"test_pairwise_accuracy: {pairwise_accuracy(model, test_samples):.4f}\n"
+    )
+    assert out.read_text(encoding="utf-8") == json.dumps(model_to_dict(model))
+
+
+def test_written_files_load_and_save_to_the_same_bytes(tmp_path, corpus):
+    model, detected = tmp_path / "m.json", tmp_path / "d.json"
+    assert main(["train", "--data", str(corpus), "--kind", "trees", "--out", str(model)]) == 0
+    assert main(["detect", "--model", str(model), "--data", str(corpus), "--out", str(detected)]) == 0
+    for path, load, save in ((corpus, load_canonical, save_canonical),
+                             (detected, load_canonical, save_canonical),
+                             (model, load_model, save_model)):
+        again = tmp_path / "again.json"
+        save(load(path), again)
+        assert again.read_bytes() == path.read_bytes(), path
 
 
 @pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])

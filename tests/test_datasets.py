@@ -1,8 +1,11 @@
 """Canonical serialization round-trips and the pinned CSV loaders."""
 
+import dataclasses
 import json
 import math
+import time
 
+import numpy as np
 import pytest
 
 from fformation.core import AgentPose, Frame, GroupSet
@@ -15,6 +18,7 @@ from fformation.datasets import (
     save_canonical,
     split_frames,
 )
+from fformation.synthetic import SynthConfig, generate_synthetic
 
 TWO_PI = 2.0 * math.pi
 
@@ -276,4 +280,188 @@ def test_load_canonical_rejects_a_timestamp_too_large_for_a_float(tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DatasetFormatError, match="frame entry 0: timestamp: .*too large"):
+        load_canonical(path)
+
+
+# ------------------------------------------------------------ fault injection
+
+# Keys of the canonical layout whose value must be a number, that may be
+# absent, and whose value must be an integer.
+NUMBER_KEYS = {"x", "y", "body_theta", "head_theta", "timestamp"}
+OPTIONAL_KEYS = {"head_theta", "timestamp", "groups"}
+INTEGER_KEYS = {"frame_id", "id"}
+
+
+def _fault_dataset():
+    synth = generate_synthetic(SynthConfig(n_frames=3, seed=5)).frames
+    frames = [dataclasses.replace(f, frame_id=10 + k) for k, f in enumerate(synth)]
+    return CanonicalDataset.from_frames(frames + list(_dataset().frames))
+
+
+def _slots(value, path=()):
+    """Every (path, key) of the document below ``value``, members of lists
+    included; the key of a list member is its index."""
+    items = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, item in items:
+        yield path, key
+        if isinstance(item, (dict, list)):
+            yield from _slots(item, path + (key,))
+
+
+def _without(dataset, path, key):
+    """The dataset as it loads when ``key`` at ``path`` is absent or null:
+    a missing timestamp, head_theta or groups."""
+    frames = list(dataset.frames)
+    f = frames[path[1]]
+    if key == "timestamp":
+        frames[path[1]] = dataclasses.replace(f, timestamp=None)
+    elif key == "groups":
+        frames[path[1]] = dataclasses.replace(f, truth=None)
+    else:
+        agents = list(f.agents)
+        agents[path[3]] = dataclasses.replace(agents[path[3]], head_theta=None)
+        frames[path[1]] = dataclasses.replace(f, agents=tuple(agents))
+    return CanonicalDataset.from_frames(frames)
+
+
+def _swap_expectation(dataset, path, key, value):
+    """What loading must do once ``value`` replaces the item at ``path`` +
+    ``key``: "raise", load equal to a dataset, or "valid" (raise, or load a
+    dataset that saves and loads again unchanged)."""
+    member = len(path) == 4 and path[2] == "groups"
+    if key in NUMBER_KEYS:
+        if value is None and key in OPTIONAL_KEYS:
+            return _without(dataset, path, key)
+        return "valid" if value == 1.5 else "raise"
+    if key in INTEGER_KEYS or member:
+        # A huge integer is a valid id, though a group member must name an
+        # agent of the frame.
+        return "valid" if type(value) is int else "raise"
+    if key == "schema_version":
+        return dataset if value == 1 else "raise"
+    return "raise"  # an object or list replaced by another type
+
+
+def _mutations(text, dataset, rng):
+    """(what, file text, expectation) triples: flipped bytes and digits,
+    truncations, deleted keys, values swapped for other types, booleans,
+    huge integers and non-finite numbers, and the same document with other
+    whitespace."""
+    doc = json.loads(text)
+    slots = list(_slots(doc))
+    cases = []
+    raw = text.encode("utf-8")
+    for _ in range(40):
+        at = int(rng.integers(len(raw)))
+        flipped = bytearray(raw)
+        flipped[at] = (flipped[at] + int(rng.integers(1, 256))) % 256
+        cases.append((("flip", at), bytes(flipped), "valid"))
+    digits = [k for k, c in enumerate(raw) if chr(c).isdigit()]
+    for at in rng.choice(digits, size=20, replace=False).tolist():
+        changed = bytearray(raw)
+        changed[at] = ord("0") + (changed[at] - ord("0") + int(rng.integers(1, 10))) % 10
+        cases.append((("digit", at), bytes(changed), "valid"))
+    for _ in range(10):
+        cut = int(rng.integers(len(raw)))
+        cases.append((("truncate", cut), raw[:cut], "raise"))
+    swaps = ("0.5", [], {}, None, True, False, 1.5, HUGE, math.nan, math.inf, -math.inf)
+    for k in rng.choice(len(slots), size=60, replace=False):
+        path, key = slots[int(k)]
+        mutated = json.loads(text)
+        target = mutated
+        for step in path:
+            target = target[step]
+        if isinstance(target, dict):
+            del target[key]
+            expect = _without(dataset, path, key) if key in OPTIONAL_KEYS else "raise"
+            cases.append((("delete", path, key), json.dumps(mutated).encode(), expect))
+            mutated = json.loads(text)
+            target = mutated
+            for step in path:
+                target = target[step]
+        value = swaps[int(rng.integers(len(swaps)))]
+        if isinstance(target[key], list) and value == []:
+            expect = "valid"  # no frames, agents, groups or members
+        elif isinstance(target, list) and path[-1] in ("agents", "frames"):
+            expect = "raise"  # an agent or a frame that is not an object
+        elif isinstance(target, list) and path[-1] == "groups":
+            expect = "raise"  # a group that is not a list
+        else:
+            expect = _swap_expectation(dataset, path, key, value)
+        if type(value) is float and not math.isfinite(value) and expect == "valid":
+            expect = "raise"
+        target[key] = value
+        cases.append((("swap", path, key, value), json.dumps(mutated).encode(), expect))
+    cases.append((("indent",), json.dumps(doc, indent=2).encode(), dataset))
+    spaced = text.replace(", ", " ,\n\t").replace(": ", " :  ")
+    cases.append((("whitespace",), spaced.encode(), dataset))
+    return cases
+
+
+def test_mutated_canonical_files_are_rejected_or_load_as_they_say(tmp_path):
+    # A mutated file must raise DatasetFormatError, or load: as the original
+    # did where the change keeps its meaning (whitespace, schema_version
+    # written as true), as the original without the field where an optional
+    # field is dropped, and, where a flipped byte leaves a valid file, as a
+    # dataset that saves and loads again unchanged (no NaN slips through).
+    started = time.perf_counter()
+    dataset = _fault_dataset()
+    path = tmp_path / "data.json"
+    save_canonical(dataset, path)
+    text = path.read_text(encoding="utf-8")
+    rng = np.random.default_rng(41)
+    outcomes = []
+    for round_ in range(2):
+        for what, data, expect in _mutations(text, dataset, rng):
+            path.write_bytes(data)
+            try:
+                loaded = load_canonical(path)
+            except DatasetFormatError:
+                loaded = None
+            where = (round_, what, expect if isinstance(expect, str) else "dataset")
+            if isinstance(expect, CanonicalDataset):
+                assert loaded == expect, where
+            elif expect == "raise":
+                assert loaded is None, where
+            elif loaded is not None:
+                again = tmp_path / "again.json"
+                save_canonical(loaded, again)
+                assert load_canonical(again) == loaded, where
+            outcomes.append("rejected" if loaded is None else
+                            "same" if loaded == dataset else "different")
+    assert set(outcomes) == {"rejected", "same", "different"}
+    assert time.perf_counter() - started < 10.0
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda f: f.update(frame_id=True), "frame entry 0: frame_id must be an integer"),
+        (lambda f: f["agents"][0].update(id=False), "agent entry 0: id must be an integer"),
+        (lambda f: f.update(groups=[[True, 1]]), "each group must be a list of integer agent ids"),
+        (lambda f: f.update(timestamp=math.nan), "frame entry 0: timestamp must be finite"),
+        (lambda f: f.update(timestamp=-math.inf), "frame entry 0: timestamp must be finite"),
+    ],
+)
+def test_load_canonical_rejects_boolean_ids_and_non_finite_timestamps(tmp_path, edit, message):
+    doc = _one_frame_doc()
+    doc["frames"][0]["agents"].append({"id": 2, "x": 1.0, "y": 0.0, "body_theta": 0.0})
+    edit(doc["frames"][0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=message):
+        load_canonical(path)
+
+
+def test_load_canonical_names_the_line_and_column_of_broken_json(tmp_path):
+    path = tmp_path / "data.json"
+    save_canonical(_dataset(), path)
+    text = path.read_text(encoding="utf-8")
+    assert "\n" not in text
+    at = text.index('"agents"')
+    path.write_text(text[:at] + text[at + 1 :], encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=f"invalid JSON at line 1 column {at + 1}:"):
+        load_canonical(path)
+    path.write_bytes(text[:at].encode() + b"\xff" + text[at:].encode())
+    with pytest.raises(DatasetFormatError, match=f"not UTF-8 text at byte {at}:"):
         load_canonical(path)

@@ -157,6 +157,47 @@ def test_pairwise_deconstruct_features_match_direct_computation():
         assert s.effort_angle == effort_angle(a, b)
 
 
+def _labeled_frames():
+    """Corpus frames with agents in shuffled order and ids far apart, a
+    frame with every agent ungrouped, and frames of no and of one agent."""
+    rng = random.Random(8)
+    frames = []
+    for f in generate_synthetic(SynthConfig(n_frames=12, seed=8)).frames:
+        agents = [AgentPose(1000 - 7 * a.agent_id, a.x, a.y, a.body_theta) for a in f.agents]
+        rng.shuffle(agents)
+        truth = GroupSet.from_iterable([[1000 - 7 * i for i in g] for g in f.truth.groups])
+        frames.append(Frame(frame_id=f.frame_id, agents=tuple(agents), truth=truth))
+    frames.append(_circle_frame(5, truth=GroupSet()))
+    frames.append(Frame(frame_id=40, agents=(), truth=GroupSet()))
+    frames.append(Frame(frame_id=41, agents=(pose(1, 0, 0, 0),), truth=GroupSet()))
+    return frames
+
+
+def test_pairwise_deconstruct_of_frames_is_the_samples_of_each_as_one_table():
+    frames = _labeled_frames()
+    table = pairwise_deconstruct(frames)
+    samples = [s for f in frames for s in pairwise_deconstruct(f)]
+    assert len(table) == len(samples)
+    assert table.X.dtype == np.float64 and table.y.dtype == np.uint8
+    # The same samples, bit for bit, in pair_features order.
+    assert sorted(table, key=repr) == sorted(samples, key=repr)
+    offsets, i, j, X = pair_features(frames)
+    assert np.array_equal(table.X.view(np.uint64), X.view(np.uint64))
+    assert (table.ids[:, 0] < table.ids[:, 1]).all()
+    assert table.y.sum() > 0 and (table.y == 0).sum() > 0
+
+
+def test_pairwise_deconstruct_of_frames_needs_truth_and_valid_frames():
+    frames = _labeled_frames()
+    with pytest.raises(ValidationError, match="frame 3 has no ground-truth groups"):
+        pairwise_deconstruct([*frames, Frame(frame_id=3, agents=())])
+    bad = Frame(frame_id=9, agents=(pose(1, 0, 0, 0), AgentPose(1, 1.0, 0.0, 0.0)), truth=GroupSet())
+    with pytest.raises(ValidationError, match="frame 9"):
+        pairwise_deconstruct([bad])
+    empty = pairwise_deconstruct([])
+    assert len(empty) == 0 and empty.X.shape == (0, 2) and empty.ids.shape == (0, 2)
+
+
 # ------------------------------------------------ batched pair features
 
 
