@@ -87,12 +87,14 @@ def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
 
     Raises ValueError when the standardized inputs or the scores are not
     finite: a finite input far beyond a tiny ``std`` can still overflow, and
-    so can the logit of huge logreg coefficients.
+    so can the logit of huge logreg coefficients. Such overflows raise no
+    numpy warning: the finiteness checks decide.
     """
-    Xs = model.scaling.apply(np.array(X, dtype=np.float64, ndmin=2))
-    if not np.isfinite(Xs).all():
-        raise ValueError("prediction inputs must be finite, also once standardized")
-    scores = REGISTRY[model.kind].scores(model.params, model.hyperparams, Xs)
+    with np.errstate(all="ignore"):
+        Xs = model.scaling.apply(np.array(X, dtype=np.float64, ndmin=2))
+        if not np.isfinite(Xs).all():
+            raise ValueError("prediction inputs must be finite, also once standardized")
+        scores = REGISTRY[model.kind].scores(model.params, model.hyperparams, Xs)
     if not np.isfinite(scores).all():
         raise ValueError("prediction scores must be finite")
     return (scores >= DECISION_THRESHOLD).view(np.uint8), scores

@@ -59,14 +59,16 @@ class AgentPose:
         body_theta: float,
         head_theta: Optional[float] = None,
     ) -> "AgentPose":
-        """Build a pose, normalizing angles into [0, 2*pi)."""
-        return cls(
-            agent_id=int(agent_id),
-            x=float(x),
-            y=float(y),
-            body_theta=normalize_angle(float(body_theta)),
-            head_theta=None if head_theta is None else normalize_angle(float(head_theta)),
-        )
+        """Build a pose, normalizing angles into [0, 2*pi) as
+        :func:`normalize_angle` does."""
+        # One modulo in line; normalize_angle settles what it leaves out of
+        # range: a non-finite angle, or a modulo rounded up to 2*pi.
+        body = float(body_theta) % TWO_PI
+        body = body if body < TWO_PI else normalize_angle(float(body_theta))
+        if head_theta is not None:
+            head = float(head_theta) % TWO_PI
+            head_theta = head if head < TWO_PI else normalize_angle(float(head_theta))
+        return cls(int(agent_id), float(x), float(y), body, head_theta)
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,6 +5,8 @@ import math
 import random
 import sys
 import threading
+import warnings
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -438,6 +440,130 @@ def test_knn_per_frame_calls_match_brute_force(corpus_knn):
     assert np.array_equal(got, brute_force_knn_scores(params, k, np.concatenate(batches)))
 
 
+def test_knn_per_frame_calls_finish_in_one_round(corpus_knn, monkeypatch):
+    # The first window of a row holds about 4k points, which is enough for
+    # the row's k-th neighbor almost always on criterion-5 evaluation frames.
+    frames = [f for f in generate_synthetic(SynthConfig(n_frames=200, seed=202)).frames if len(f.agents) >= 2]
+    real_round = knn_mod._round
+    rounds = []
+
+    def counting_round(*args):
+        rounds[-1] += 1
+        return real_round(*args)
+
+    monkeypatch.setattr(knn_mod, "_round", counting_round)
+    for frame in frames:
+        rounds.append(0)
+        build_relation_matrix(corpus_knn, frame)
+    assert len(rounds) >= 190 and min(rounds) == 1
+    assert rounds.count(1) >= 0.95 * len(rounds), np.bincount(rounds)
+
+
+def reference_first_window(params, cell, target):
+    """The first windows by counting the training points' cells: for each
+    query cell, the first square of ``halves`` that holds ``target``."""
+    cells = params._cells(params.points)
+    last = np.array(params.shape) - 1
+    lo, hi, held = [], [], []
+    for c in cell:
+        for h in params.halves:
+            a, b = np.maximum(c - h, 0), np.minimum(c + h, last)
+            count = int(np.count_nonzero(((cells >= a) & (cells <= b)).all(axis=1)))
+            if count >= target:
+                break
+        lo.append(a)
+        hi.append(b)
+        held.append(count)
+    return np.array(lo), np.array(hi), np.array(held)
+
+
+def assert_first_windows_match_reference(pts, labels, queries, ks):
+    """Scores equal brute force, and the first windows equal the reference."""
+    params = knn_mod.fit(pts, labels, {}, 0)
+    halves = params.halves
+    assert halves[0] == 0 and halves[-1] >= max(params.shape) - 1
+    assert (np.diff(halves) >= 1).all() and (halves[3:] <= 1.5 * halves[2:-1]).all()
+    cell = params._cells(np.asarray(queries, dtype=np.float64))
+    n = len(pts)
+    for k in ks:
+        target = min(knn_mod._FIRST_WINDOW * min(k, n), n)
+        for got, want in zip(params._first(cell, target), reference_first_window(params, cell, target)):
+            assert np.array_equal(got, want), k
+    assert_grid_matches_brute_force(pts, labels, queries, ks=ks)
+    return params
+
+
+def _empty_cell_centers(params, count, rng):
+    empty = np.flatnonzero(np.diff(params.starts) == 0)
+    picked = rng.choice(empty, size=min(count, empty.size), replace=False)
+    return params.origin + params.cell * (np.column_stack(divmod(picked, params.shape[1])) + 0.5)
+
+
+def test_knn_first_window_from_empty_cells_sparse_tails_and_far_outside():
+    rng = np.random.default_rng(40)
+    tails = rng.standard_cauchy(size=(200, 2))
+    pts = np.concatenate([rng.normal(scale=0.3, size=(3000, 2)), tails])
+    labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
+    params = knn_mod.fit(pts, labels, {}, 0)
+    queries = np.concatenate([
+        _empty_cell_centers(params, 60, rng),
+        tails[:60] + rng.normal(scale=0.5, size=(60, 2)),
+        [[1e6, 0.0], [-1e6, 1e6], [0.0, -1e9], [1e150, 1e150], [-40.0, 0.3]],
+    ])
+    assert (np.diff(params.starts)[params._cells(queries[:60]) @ [params.shape[1], 1]] == 0).all()
+    assert_first_windows_match_reference(pts, labels, queries, ks=(1, 10, 30))
+
+
+def test_knn_first_window_on_a_one_cell_grid():
+    rng = np.random.default_rng(41)
+    pts = np.full((300, 2), 1.5)
+    labels = rng.integers(0, 2, size=300).astype(np.uint8)
+    queries = np.concatenate([[[1.5, 1.5], [1.5, 1.6], [-3.0, 2.0], [1e6, 1e6]], rng.normal(size=(20, 2))])
+    params = assert_first_windows_match_reference(pts, labels, queries, ks=(1, 10, 300, 400))
+    assert params.shape == (1, 1) and params.halves.tolist() == [0]
+
+
+def test_knn_first_window_in_a_thin_box():
+    rng = np.random.default_rng(42)
+    line = rng.standard_cauchy(size=2000)
+    labels = rng.integers(0, 2, size=2000).astype(np.uint8)
+    for pts, thin in ((np.column_stack([line, np.full(2000, -0.4)]), 1), (np.column_stack([np.full(2000, 3.0), line]), 0)):
+        queries = np.concatenate([pts[:40], pts[40:80] + rng.normal(size=(40, 2)), [[1e5, -1e5], [-50.0, 50.0]]])
+        params = assert_first_windows_match_reference(pts, labels, queries, ks=(1, 10, 30))
+        assert params.shape[thin] == 1 and params.shape[1 - thin] > 100
+
+
+def test_knn_first_window_holds_every_point_when_k_reaches_a_quarter_of_n():
+    rng = np.random.default_rng(43)
+    pts = rng.normal(size=(40, 2))
+    labels = rng.integers(0, 2, size=40).astype(np.uint8)
+    queries = np.concatenate([rng.normal(size=(20, 2)) * 3, [[100.0, -100.0]]])
+    params = assert_first_windows_match_reference(pts, labels, queries, ks=(10, 39, 40, 41, 100))
+    for k in (10, 40, 100):
+        assert (params._first(params._cells(queries), min(knn_mod._FIRST_WINDOW * k, 40))[2] == 40).all()
+
+
+def test_knn_first_window_on_a_cluster_far_denser_than_the_mean():
+    rng = np.random.default_rng(44)
+    center = np.array([2.0, -3.0])
+    cluster = rng.normal(scale=1e-4, size=(2000, 2)) + center
+    pts = np.concatenate([rng.uniform(-10.0, 10.0, size=(5000, 2)), cluster])
+    labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
+    params = knn_mod.fit(pts, labels, {}, 0)
+    per_cell = np.diff(params.starts)
+    assert per_cell.max() > 100 * len(pts) / per_cell.size
+    # The cells stay within a small multiple of the points.
+    assert per_cell.size <= 3 * knn_mod._CELLS_PER_POINT * len(pts) + 1
+    queries = np.concatenate([
+        cluster[:40] + rng.normal(scale=1e-5, size=(40, 2)),
+        center + rng.uniform(-5e-4, 5e-4, size=(40, 2)),
+        center + rng.uniform(-0.2, 0.2, size=(40, 2)),
+        _empty_cell_centers(params, 20, rng),
+        rng.uniform(-12.0, 12.0, size=(40, 2)),
+    ])
+    assert_first_windows_match_reference(pts, labels, queries, ks=(1, 10, 40))
+
+
 @pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
 def test_predict_batch_takes_an_empty_batch_and_a_single_row(kind):
     model = train(separable_samples(60, seed=3), kind=kind, seed=0)
@@ -467,22 +593,28 @@ def test_knn_rows_resolving_in_different_rounds_match_brute_force(monkeypatch):
         corner + rng.uniform(0.0, 1.0, size=(50, 2)) * params.cell,
     ])
     queries = queries[rng.permutation(len(queries))]
-    certified = []
     real_round = knn_mod._round
+    rounds = {}  # query row -> [rounds it went through, certified]
 
-    def counting_round(*args):
-        score, done, reach = real_round(*args)
-        certified.append(int(np.count_nonzero(done)))
+    def counting_round(params, k, q, lo, hi, count):
+        score, done, reach = real_round(params, k, q, lo, hi, count)
+        for row, ok in zip(map(tuple, q), done.tolist()):
+            seen = rounds.setdefault(row, [0, False])
+            assert not seen[1], row
+            seen[0] += 1
+            seen[1] = ok
         return score, done, reach
 
     monkeypatch.setattr(knn_mod, "_round", counting_round)
     for k in (1, 10, 30):
-        certified.clear()
+        rounds.clear()
         got = knn_mod.scores(params, {"k": k}, queries)
         assert np.array_equal(got, brute_force_knn_scores(params, k, queries)), k
-        # Most rows resolve in the first round, the rest in later ones.
-        assert len(certified) >= 2 and 0 < certified[1] < certified[0], (k, certified)
-    assert len(certified) >= 3, certified
+        # Most rows resolve in the first round, the rest in the second: the
+        # square a row's bound reaches certifies it.
+        assert len(rounds) == len(queries) and all(ok for _, ok in rounds.values()), k
+        taken = np.bincount([n for n, _ in rounds.values()])
+        assert taken.size == 3 and 0 < taken[2] < taken[1], (k, taken)
 
 
 def test_knn_batch_of_one_chunk_plus_one_row_matches_brute_force():
@@ -490,10 +622,10 @@ def test_knn_batch_of_one_chunk_plus_one_row_matches_brute_force():
     pts = rng.uniform(-5.0, 5.0, size=(3000, 2))
     labels = rng.integers(0, 2, size=3000).astype(np.uint8)
     params = knn_mod.fit(pts, labels, {}, 0)
-    # Rows in one cell share its 3 x 3 window, so a chunk holds a fixed
+    # Rows in one cell share its first window, so a chunk holds a fixed
     # number of them.
     cell = np.array(params.shape) // 2
-    count = int(params._columns(cell[None] - 1, cell[None] + 1)[2][0])
+    count = int(params._first(cell[None], knn_mod._FIRST_WINDOW * 10)[2][0])
     per_chunk = len(knn_mod._chunks(np.full(10**6, count))[0])
     queries = params.origin + (cell + rng.uniform(0.05, 0.95, size=(per_chunk + 1, 2))) * params.cell
     assert (params._cells(queries) == cell).all()
@@ -1329,12 +1461,21 @@ def test_predict_rejects_non_finite_input():
         predict(model, 1.0, math.nan)
 
 
+@contextmanager
+def runtime_warnings_as_errors():
+    """predict_batch's finiteness checks, not numpy warnings, report an
+    overflow."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        yield
+
+
 @pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
 def test_predict_rejects_inputs_that_overflow_the_scaling(kind):
     doc = model_to_dict(train(separable_samples(40, seed=8), kind=kind, seed=0))
     doc["scaling"]["std"] = [1e-300, 1.0]
     model = model_from_dict(doc)
-    with np.errstate(over="ignore"):
+    with runtime_warnings_as_errors():
         with pytest.raises(ValueError, match="finite, also once standardized"):
             predict(model, 1e10, 1.0)
     assert predict(model, float(doc["scaling"]["mean"][0]), 1.0)[1] >= 0.0
@@ -1343,9 +1484,20 @@ def test_predict_rejects_inputs_that_overflow_the_scaling(kind):
 def test_predict_rejects_non_finite_scores():
     # Squared distances to a query this far overflow, and every vote weighs 0.
     model = train(separable_samples(40, seed=8), kind="knn", seed=0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with runtime_warnings_as_errors():
         with pytest.raises(ValueError, match="scores must be finite"):
             predict(model, 1e200, 1.0)
+
+
+@pytest.mark.parametrize("kind", ["knn", "logreg"])
+def test_predict_rejects_a_huge_scaling_mean_without_numpy_warnings(kind):
+    doc = model_to_dict(train(separable_samples(40, seed=8), kind=kind, seed=0))
+    doc["scaling"]["mean"] = [1e308, -1e308]
+    model = model_from_dict(doc)
+    queries = np.random.default_rng(34).uniform(-1.0, 7.0, size=(300, 2))
+    with runtime_warnings_as_errors():
+        with pytest.raises(ValueError, match="must be finite"):
+            predict_batch(model, queries)
 
 
 def test_logreg_logits_that_overflow_are_rejected_as_non_finite_scores():
@@ -1354,7 +1506,7 @@ def test_logreg_logits_that_overflow_are_rejected_as_non_finite_scores():
     model = model_from_dict(doc)
     # Both features far above or far below their means: the logit overflows
     # to +inf or -inf, which the sigmoid alone would score 1 or 0.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with runtime_warnings_as_errors():
         with pytest.raises(ValueError, match="scores must be finite"):
             predict(model, 50.0, 6.0)
         with pytest.raises(ValueError, match="scores must be finite"):
@@ -1776,8 +1928,6 @@ def _flat_document_mutations(doc, rng):
     return cases
 
 
-# Huge numbers overflow on their way to predict_batch's finiteness check.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_mutated_knn_and_logreg_documents_are_rejected_or_predict_finite_scores():
     # A mutated document must raise ModelFormatError on load, or predict
     # finite scores, or fail predict_batch's finiteness check; each case

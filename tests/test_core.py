@@ -56,6 +56,28 @@ def test_agent_pose_make_normalizes():
     assert AgentPose.make(1, 0, 0, 1.0).head_theta is None
 
 
+def test_agent_pose_make_equals_the_constructor_on_normalized_angles():
+    angles = [-math.pi / 2, -7.0, -1e-300, -1e-17, 0.0, TWO_PI, TWO_PI + 0.25, 3 * TWO_PI, 1e6, 2.5]
+    assert -1e-17 % TWO_PI == TWO_PI  # the modulo rounds up to 2*pi
+    for body in angles:
+        for head in [None] + angles:
+            want = AgentPose(
+                agent_id=7,
+                x=1.5,
+                y=-2.0,
+                body_theta=normalize_angle(body),
+                head_theta=None if head is None else normalize_angle(head),
+            )
+            got = AgentPose.make(np.int64(7), np.float32(1.5), -2, np.float64(body), head)
+            assert got == want and type(got.agent_id) is int and type(got.x) is float, (body, head)
+            assert 0.0 <= got.body_theta < TWO_PI
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            AgentPose.make(1, 0.0, 0.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            AgentPose.make(1, 0.0, 0.0, 1.0, bad)
+
+
 def test_group_set_helpers():
     gs = GroupSet.from_iterable([[3, 1, 2], [5, 4]])
     assert gs.member_ids() == frozenset({1, 2, 3, 4, 5})
