@@ -25,18 +25,19 @@ from fformation import (
 train_corpus = generate_synthetic(SynthConfig(n_frames=150, seed=1))
 eval_corpus = generate_synthetic(SynthConfig(n_frames=50, seed=2))
 
-train_samples = [s for f in train_corpus.frames for s in pairwise_deconstruct(f)]
-eval_samples = [s for f in eval_corpus.frames for s in pairwise_deconstruct(f)]
-print(f"{len(train_samples)} training pairs, {len(eval_samples)} evaluation pairs")
+# Each corpus as one table of labeled pairs, as `fformation train` builds it.
+train_pairs = pairwise_deconstruct(train_corpus.frames)
+eval_pairs = pairwise_deconstruct(eval_corpus.frames)
+print(f"{len(train_pairs)} training pairs, {len(eval_pairs)} evaluation pairs")
 
 truths = [(f.frame_id, f.truth) for f in eval_corpus.frames]
 
 for kind in ("knn", "trees", "logreg"):
-    model = train(train_samples, kind=kind, seed=0)
+    model = train(train_pairs, kind=kind, seed=0)
 
     # Pairwise accuracy measures the classifier alone; the F1 below measures
     # the whole pipeline after reconstruction.
-    acc = pairwise_accuracy(model, eval_samples)
+    acc = pairwise_accuracy(model, eval_pairs)
 
     detections = [(f.frame_id, detect(model, f)) for f in eval_corpus.frames]
     report = evaluate(detections, truths, Fraction(2, 3))

@@ -15,7 +15,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from ..core import Frame, PairSample, PairTable, RelationMatrix
-from ..features import pair_features, pair_indices
+from ..features import ordered_agents, pair_features, pair_indices
 from .base import (
     DEFAULT_HYPERPARAMS,
     KIND_ALIASES,
@@ -146,7 +146,7 @@ def build_relation_matrix(
     labels, _ = predict_batch(model, X)
     matrices = []
     for f, frame in enumerate(batch):
-        ids = tuple(sorted(a.agent_id for a in frame.agents))
+        ids = tuple(a.agent_id for a in ordered_agents(frame))
         cells, eye = _cells(len(ids))
         m = eye.copy()
         m[cells] = labels[offsets[f] : offsets[f + 1]]

@@ -10,7 +10,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from ..core import PairSample, PairTable
+from ..core import PairSample, PairTable, is_integer, is_number
 
 
 class TrainingError(ValueError):
@@ -44,29 +44,21 @@ def canonical_kind(kind: str) -> str:
     return kind
 
 
-def _integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _finite(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
-
-
-_AT_LEAST_ONE = (lambda v: _integer(v) and v >= 1, "an integer >= 1")
-_NON_NEGATIVE = (lambda v: _finite(v) and v >= 0, "a finite number >= 0")
+_AT_LEAST_ONE = (lambda v: is_integer(v) and v >= 1, "an integer >= 1")
+_NON_NEGATIVE = (lambda v: is_number(v) and math.isfinite(v) and v >= 0, "a finite number >= 0")
 
 # The values each hyperparameter accepts, as (test, description); the
 # names are unique across kinds.
 _HYPERPARAM_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
     "k": _AT_LEAST_ONE,
     "n_trees": _AT_LEAST_ONE,
-    "max_depth": (lambda v: v is None or (_integer(v) and v >= 1), "None or an integer >= 1"),
+    "max_depth": (lambda v: v is None or (is_integer(v) and v >= 1), "None or an integer >= 1"),
     "min_leaf": _AT_LEAST_ONE,
     "l2": _NON_NEGATIVE,
-    "epochs": (lambda v: _integer(v) and v >= 0, "an integer >= 0"),
+    "epochs": (lambda v: is_integer(v) and v >= 0, "an integer >= 0"),
     "tol": _NON_NEGATIVE,
     "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
-    "learning_rate": (lambda v: _finite(v) and v > 0, "a finite number > 0"),
+    "learning_rate": (lambda v: is_number(v) and math.isfinite(v) and v > 0, "a finite number > 0"),
 }
 
 # Names a kind no longer takes. Model files written before may carry them;

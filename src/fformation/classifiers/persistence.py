@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from typing import Any
 
+from ..core import is_integer
 from ..jsonfile import read_json, write_json
 from .base import (
     FeatureScaling,
@@ -75,7 +76,7 @@ def model_from_dict(doc: dict[str, Any]) -> TrainedModel:
         hyperparams = dict(doc["hyperparams"])
         problem = hyperparams_problem(kind, hyperparams)
         _check(problem is None, problem)
-        _check(type(doc["seed"]) is int, "seed must be an integer")
+        _check(is_integer(doc["seed"]), "seed must be an integer")
         params = REGISTRY[kind].from_params(doc["params"], hyperparams)
         _known(doc, _DOCUMENT_KEYS, "the model document")
         return TrainedModel(

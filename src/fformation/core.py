@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +18,17 @@ TWO_PI = 2.0 * math.pi
 
 class ValidationError(ValueError):
     """A frame or group structure violates a core invariant."""
+
+
+def is_integer(value: Any) -> bool:
+    """Whether ``value`` is a Python int, and not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    """Whether ``value`` is a Python int or float, and not a bool; it may
+    be infinite or NaN."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def normalize_angle(theta: float) -> float:

@@ -32,7 +32,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .core import AgentPose, Frame, GroupSet, ValidationError, validate_frame
+from .core import AgentPose, Frame, GroupSet, ValidationError, is_integer, is_number, validate_frame
 from .jsonfile import read_json, write_json
 
 SCHEMA_VERSION = 1
@@ -84,14 +84,6 @@ def _require(cond: bool, msg: str) -> None:
         raise DatasetFormatError(msg)
 
 
-def _number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _error(path, frame: int, problem: str, agent: Optional[int] = None) -> DatasetFormatError:
     """The error for frame entry ``frame`` of ``path``, or for its agent
     entry ``agent``. Messages are made only for a check that failed."""
@@ -114,7 +106,7 @@ def _frame_from_dict(doc: dict, path, index: int) -> Frame:
     if not isinstance(doc.get("agents"), list):
         raise _error(path, index, "missing agents list")
     frame_id = doc["frame_id"]
-    if not _integer(frame_id):
+    if not is_integer(frame_id):
         raise _error(path, index, "frame_id must be an integer")
     agents = []
     for k, a in enumerate(doc["agents"]):
@@ -123,13 +115,13 @@ def _frame_from_dict(doc: dict, path, index: int) -> Frame:
         if not a.keys() >= _AGENT_KEYS:
             field = next(f for f in _AGENT_FIELDS if f not in a)
             raise _error(path, index, f"missing field {field!r}", k)
-        if not _integer(a["id"]):
+        if not is_integer(a["id"]):
             raise _error(path, index, "id must be an integer", k)
-        if not (_number(a["x"]) and _number(a["y"]) and _number(a["body_theta"])):
-            field = next(f for f in ("x", "y", "body_theta") if not _number(a[f]))
+        if not (is_number(a["x"]) and is_number(a["y"]) and is_number(a["body_theta"])):
+            field = next(f for f in ("x", "y", "body_theta") if not is_number(a[f]))
             raise _error(path, index, f"field {field!r} must be a number", k)
         head = a.get("head_theta")
-        if head is not None and not _number(head):
+        if head is not None and not is_number(head):
             raise _error(path, index, "head_theta must be a number or null", k)
         try:
             agents.append(AgentPose.make(a["id"], a["x"], a["y"], a["body_theta"], head))
@@ -137,7 +129,7 @@ def _frame_from_dict(doc: dict, path, index: int) -> Frame:
             raise _error(path, index, str(exc), k) from exc
     timestamp = doc.get("timestamp")
     if timestamp is not None:
-        if not _number(timestamp):
+        if not is_number(timestamp):
             raise _error(path, index, "timestamp must be a number")
         try:
             timestamp = float(timestamp)
@@ -151,7 +143,7 @@ def _frame_from_dict(doc: dict, path, index: int) -> Frame:
         if not isinstance(raw, list):
             raise _error(path, index, "groups must be a list of lists")
         for g in raw:
-            if not (isinstance(g, list) and all(map(_integer, g))):
+            if not (isinstance(g, list) and all(map(is_integer, g))):
                 raise _error(path, index, "each group must be a list of integer agent ids")
         truth = GroupSet.from_iterable(raw)
     return Frame(frame_id=frame_id, agents=tuple(agents), timestamp=timestamp, truth=truth)

@@ -9,7 +9,8 @@ pair is described by two numbers:
   face each other; 2*pi means they stand back to back.
 
 Both features are commutative, so one sample per unordered pair suffices.
-:func:`pair_features` gives the same numbers for many frames at once, as
+Every pair comes from :func:`pair_features`, which gives the numbers of
+:func:`distance` and :func:`effort_angle` for many frames at once, as
 arrays.
 """
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, repeat
 from operator import attrgetter
 from typing import Sequence
 
@@ -26,7 +27,8 @@ import numpy as np
 
 from .core import TWO_PI, AgentPose, Frame, PairSample, PairTable, ValidationError, validate_frame
 
-__all__ = ["distance", "effort_angle", "pair_features", "pair_indices", "pairwise_deconstruct"]
+__all__ = ["distance", "effort_angle", "ordered_agents", "pair_features", "pair_indices",
+           "pairwise_deconstruct"]
 
 _BY_ID = attrgetter("agent_id")
 
@@ -96,11 +98,21 @@ def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.n
     agents included (effort 0 and one RuntimeWarning per pair). Raises
     ValidationError, naming the frame, for an invalid frame.
     """
+    _, offsets, ij, _, X = _pair_rows(frames)
+    return offsets, ij[0], ij[1], X
+
+
+def _pair_rows(
+    frames: Sequence[Frame],
+) -> tuple[list[AgentPose], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pair_features` as ``(poses, offsets, ij, first, X)``, where
+    ``ij`` stacks ``i`` and ``j``, ``poses`` lists the frames' agents in
+    row order and pair p's frame starts at ``poses[first[p]]``."""
     poses: list[AgentPose] = []
     sizes = []
     for frame in frames:
         validate_frame(frame)
-        poses += sorted(frame.agents, key=_BY_ID)
+        poses += ordered_agents(frame)
         sizes.append(len(frame.agents))
     counts = [n * (n - 1) // 2 for n in sizes]
     offsets, starts = np.array([[0, *accumulate(counts)], [0, *accumulate(sizes)]], dtype=np.intp)
@@ -135,10 +147,16 @@ def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.n
                     f"agents {poses[a].agent_id} and {poses[b].agent_id} share a position; "
                     f"effort angle defaulted to 0",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=3,
                 )
             out[dist == 0.0, 1] = 0.0
-    return offsets, ij[0], ij[1], X
+    return poses, offsets, ij, first, X
+
+
+def ordered_agents(frame: Frame) -> list[AgentPose]:
+    """A frame's agents in ascending id order: the order in which
+    :func:`pair_features` indexes them and relation matrices list them."""
+    return sorted(frame.agents, key=_BY_ID)
 
 
 def pairwise_deconstruct(frames: Frame | Sequence[Frame]) -> list[PairSample] | PairTable:
@@ -146,66 +164,46 @@ def pairwise_deconstruct(frames: Frame | Sequence[Frame]) -> list[PairSample] | 
     many frames into one PairTable.
 
     A frame gives exactly n*(n-1)/2 samples (empty when n < 2), in the
-    order of ``combinations`` of its agents. When the frame carries ground
-    truth, each sample is labeled 1 iff both agents share a truth group;
-    pairs with an ungrouped agent get label 0. Without truth the samples
-    are unlabeled.
+    row order of :func:`pair_features`: agents by ascending id, pairs
+    row-major. When the frame carries ground truth, each sample is labeled
+    1 iff both agents share a truth group; pairs with an ungrouped agent
+    get label 0. Without truth the samples are unlabeled.
 
     A sequence of frames, which must all carry ground truth (else
-    ValidationError), gives the same pairs, features and labels as one
-    table from one :func:`pair_features` call, in its row order. One call
-    a frame stays a scalar loop: a table of one frame costs more than the
-    loop over its few pairs.
+    ValidationError), gives the samples of each frame in turn as one
+    table from one :func:`pair_features` call.
     """
-    if not isinstance(frames, Frame):
-        return _pair_table(frames)
-    frame = frames
-    validate_frame(frame)
-    membership = frame.truth.membership() if frame.truth is not None else None
-    samples = []
-    for a, b in combinations(frame.agents, 2):
-        label = None
-        if membership is not None:
-            ga = membership.get(a.agent_id)
-            gb = membership.get(b.agent_id)
-            label = 1 if (ga is not None and ga == gb) else 0
-        id_a, id_b = a.agent_id, b.agent_id
-        if id_b < id_a:
-            id_a, id_b = id_b, id_a
-        samples.append(
-            PairSample(
-                id_a=id_a,
-                id_b=id_b,
-                distance=distance(a, b),
-                effort_angle=effort_angle(a, b),
-                label=label,
-            )
-        )
-    return samples
-
-
-def _pair_table(frames: Sequence[Frame]) -> PairTable:
+    if isinstance(frames, Frame):
+        ids, X, y = _pairs([frames], labeled=frames.truth is not None)
+        labels = repeat(None) if y is None else y.tolist()
+        return list(map(PairSample, *ids.T.tolist(), *X.T.tolist(), labels))
     frames = list(frames)
-    ids: list[int] = []
-    groups: list[int] = []
     for frame in frames:
         if frame.truth is None:
             raise ValidationError(
                 f"frame {frame.frame_id} has no ground-truth groups; cannot train on it"
             )
-        membership = frame.truth.membership()
-        frame_ids = sorted(a.agent_id for a in frame.agents)
-        ids += frame_ids
+    ids, X, y = _pairs(frames, labeled=True)
+    return PairTable(X=X, y=y, ids=ids)
+
+
+def _pairs(frames: list[Frame], labeled: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The pairs of ``frames`` in :func:`pair_features` order: the
+    (pairs, 2) ids of their agents, their features and, when ``labeled``,
+    their labels."""
+    poses, _, ij, first, X = _pair_rows(frames)
+    ids = [p.agent_id for p in poses]
+    ends = ij + first  # each pair's two agents, as positions in ``poses``
+    y = None
+    if labeled:
         # Truth groups have indices >= 0; each ungrouped agent takes a
         # negative one of its own, so its pairs are labeled 0.
-        groups += [membership.get(a, -1 - k) for k, a in enumerate(frame_ids)]
-    offsets, i, j, X = pair_features(frames)
-    sizes = [len(frame.agents) for frame in frames]
-    first = np.repeat(np.array([0, *accumulate(sizes)], dtype=np.intp)[:-1], np.diff(offsets))
-    a, b = i + first, j + first
-    ids_array, groups_array = np.array(ids), np.array(groups, dtype=np.intp)
-    return PairTable(
-        X=X,
-        y=(groups_array[a] == groups_array[b]).view(np.uint8),
-        ids=np.column_stack((ids_array[a], ids_array[b])),
-    )
+        groups: list[int] = []
+        for frame in frames:
+            membership = frame.truth.membership()
+            start = len(groups)
+            frame_ids = ids[start : start + len(frame.agents)]
+            groups += [membership.get(a, -1 - k) for k, a in enumerate(frame_ids, start)]
+        g = np.array(groups, dtype=np.intp)[ends]
+        y = (g[0] == g[1]).view(np.uint8)
+    return np.array(ids)[ends.T], X, y

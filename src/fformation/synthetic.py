@@ -16,7 +16,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .core import AgentPose, Frame, GroupSet
+from .core import AgentPose, Frame, GroupSet, is_integer
 from .datasets import CanonicalDataset, DatasetFormatError
 from .jsonfile import read_json, write_json
 
@@ -53,6 +53,11 @@ class SynthConfig:
     max_retries: int = 100
 
     def __post_init__(self) -> None:
+        for name in ("n_frames", "n_distractors", "seed", "max_retries"):
+            if not is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(map(is_integer, self.groups_per_frame)):
+            raise ValueError(f"groups_per_frame must be integers, got {self.groups_per_frame!r}")
         if self.n_frames < 1:
             raise ValueError("n_frames must be >= 1")
         if not self.group_size_distribution:

@@ -7,9 +7,9 @@ import pytest
 
 from fformation.classifiers import load_model, model_to_dict, pairwise_accuracy, save_model, train
 from fformation.cli import main
-from fformation.datasets import load_canonical, save_canonical, split_frames
+from fformation.datasets import DatasetFormatError, load_canonical, save_canonical, split_frames
 from fformation.features import pairwise_deconstruct
-from fformation.synthetic import SynthConfig, save_synth_config
+from fformation.synthetic import SynthConfig, load_synth_config, save_synth_config
 
 
 @pytest.fixture()
@@ -30,6 +30,30 @@ def test_synth_default_config_round_trips(tmp_path, capsys):
     assert len(ds) == 100
     err = capsys.readouterr().err
     assert "100 frames" in err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_frames", 1.5),
+        ("n_frames", True),
+        ("n_distractors", 1.5),
+        ("max_retries", 2.5),
+        ("seed", 1.5),
+        ("groups_per_frame", [1.5, 2]),
+        ("groups_per_frame", [1, True]),
+    ],
+)
+def test_synth_config_counts_must_be_integers(tmp_path, capsys, field, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({field: value}))
+    with pytest.raises(DatasetFormatError, match=f"{field} must be"):
+        load_synth_config(config)
+    out = tmp_path / "corpus.json"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{field} must be" in err
+    assert not out.exists()
 
 
 def test_synth_is_deterministic(tmp_path):

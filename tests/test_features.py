@@ -1,6 +1,7 @@
 """Pair features: distance, effort angle, and frame deconstruction."""
 
 import cmath
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -11,7 +12,7 @@ import pytest
 
 from fformation import features as features_mod
 from fformation.classifiers import _cells as _relation_cells
-from fformation.core import AgentPose, Frame, GroupSet, ValidationError
+from fformation.core import AgentPose, Frame, GroupSet, PairSample, ValidationError
 from fformation.features import distance, effort_angle, pair_features, pairwise_deconstruct
 from fformation.synthetic import SynthConfig, generate_synthetic
 
@@ -118,6 +119,9 @@ def test_pairwise_deconstruct_counts():
     assert len(pairwise_deconstruct(_circle_frame(5))) == 10
     for n in range(2, 31):
         assert len(pairwise_deconstruct(_circle_frame(n))) == n * (n - 1) // 2
+    for frame in _labeled_frames():
+        n = len(frame.agents)
+        assert len(pairwise_deconstruct(frame)) == n * (n - 1) // 2
 
 
 def test_pairwise_deconstruct_small_frames_and_errors():
@@ -127,34 +131,6 @@ def test_pairwise_deconstruct_small_frames_and_errors():
     bad = Frame(frame_id=0, agents=(pose(1, 0, 0, 0), AgentPose(1, 1.0, 0.0, 0.0)))
     with pytest.raises(ValidationError):
         pairwise_deconstruct(bad)
-
-
-def test_pairwise_deconstruct_labels_from_truth():
-    truth = GroupSet.from_iterable([[1, 2, 3]])
-    frame = _circle_frame(5, truth=truth)
-    samples = pairwise_deconstruct(frame)
-    by_pair = {(s.id_a, s.id_b): s.label for s in samples}
-    assert by_pair[(1, 2)] == by_pair[(1, 3)] == by_pair[(2, 3)] == 1
-    # Pairs touching an ungrouped agent are negative, not unlabeled.
-    assert by_pair[(1, 4)] == 0
-    assert by_pair[(4, 5)] == 0
-    assert all(s.label is not None for s in samples)
-
-
-def test_pairwise_deconstruct_unlabeled_without_truth():
-    samples = pairwise_deconstruct(_circle_frame(4))
-    assert all(s.label is None for s in samples)
-    # ids are emitted in ascending order within each sample
-    assert all(s.id_a < s.id_b for s in samples)
-
-
-def test_pairwise_deconstruct_features_match_direct_computation():
-    frame = _circle_frame(6)
-    poses = {a.agent_id: a for a in frame.agents}
-    for s in pairwise_deconstruct(frame):
-        a, b = poses[s.id_a], poses[s.id_b]
-        assert s.distance == distance(a, b)
-        assert s.effort_angle == effort_angle(a, b)
 
 
 def _labeled_frames():
@@ -173,6 +149,84 @@ def _labeled_frames():
     return frames
 
 
+def reference_samples(frame):
+    """The samples of a frame built pair by pair: agents by ascending id,
+    pairs row-major, features from distance and effort_angle, and labels
+    from the truth groups (None without truth)."""
+    agents = sorted(frame.agents, key=lambda a: a.agent_id)
+    group = frame.truth.membership() if frame.truth is not None else {}
+    samples = []
+    for p in range(len(agents)):
+        for q in range(p + 1, len(agents)):
+            a, b = agents[p], agents[q]
+            label = None
+            if frame.truth is not None:
+                label = int(a.agent_id in group and group.get(a.agent_id) == group.get(b.agent_id))
+            samples.append(PairSample(a.agent_id, b.agent_id, distance(a, b), effort_angle(a, b), label))
+    return samples
+
+
+def test_pairwise_deconstruct_of_a_frame_warns_once_per_coincident_pair_in_id_order():
+    frame = Frame(
+        frame_id=0,
+        agents=(pose(7, 1, 1, 0.3), pose(2, 1, 1, 2.0), pose(5, 1, 1, 4.0), pose(3, 0, 0, 1.0)),
+        truth=GroupSet.from_iterable([[7, 5]]),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        samples = pairwise_deconstruct(frame)
+    assert all(w.category is RuntimeWarning for w in caught)
+    assert [str(w.message) for w in caught] == [
+        f"agents {a} and {b} share a position; effort angle defaulted to 0"
+        for a, b in ((2, 5), (2, 7), (5, 7))
+    ]
+    coincident = {(s.id_a, s.id_b): s for s in samples if s.distance == 0.0}
+    assert sorted(coincident) == [(2, 5), (2, 7), (5, 7)]
+    assert all(s.effort_angle == 0.0 for s in coincident.values())
+    assert coincident[(5, 7)].label == 1 and coincident[(2, 5)].label == 0
+
+
+def test_pairwise_deconstruct_labels_from_truth():
+    truth = GroupSet.from_iterable([[1, 2, 3]])
+    frame = _circle_frame(5, truth=truth)
+    samples = pairwise_deconstruct(frame)
+    by_pair = {(s.id_a, s.id_b): s.label for s in samples}
+    assert by_pair[(1, 2)] == by_pair[(1, 3)] == by_pair[(2, 3)] == 1
+    # Pairs touching an ungrouped agent are negative, not unlabeled.
+    assert by_pair[(1, 4)] == 0
+    assert by_pair[(4, 5)] == 0
+    assert all(s.label is not None for s in samples)
+    frames = _labeled_frames()
+    for frame in frames:
+        samples = pairwise_deconstruct(frame)
+        assert [s.label for s in samples] == [w.label for w in reference_samples(frame)]
+        assert all(type(s.label) is int for s in samples)
+    ungrouped = pairwise_deconstruct(frames[12])  # the circle frame, no agent grouped
+    assert len(ungrouped) == 10 and all(s.label == 0 for s in ungrouped)
+
+
+def test_pairwise_deconstruct_unlabeled_without_truth():
+    for frame in [_circle_frame(4), *(dataclasses.replace(f, truth=None) for f in _labeled_frames())]:
+        samples = pairwise_deconstruct(frame)
+        assert all(s.label is None for s in samples)
+        # ids are emitted in ascending order within each sample
+        assert all(s.id_a < s.id_b for s in samples)
+
+
+def test_pairwise_deconstruct_features_match_direct_computation():
+    frame = _circle_frame(6)
+    poses = {a.agent_id: a for a in frame.agents}
+    for s in pairwise_deconstruct(frame):
+        a, b = poses[s.id_a], poses[s.id_b]
+        assert s.distance == distance(a, b)
+        assert s.effort_angle == effort_angle(a, b)
+    # Shuffled agents give their samples by ascending id, pairs row-major,
+    # with or without truth.
+    frames = _labeled_frames()
+    for frame in [*frames, *(dataclasses.replace(f, truth=None) for f in frames)]:
+        assert pairwise_deconstruct(frame) == reference_samples(frame)
+
+
 def test_pairwise_deconstruct_of_frames_is_the_samples_of_each_as_one_table():
     frames = _labeled_frames()
     table = pairwise_deconstruct(frames)
@@ -180,7 +234,7 @@ def test_pairwise_deconstruct_of_frames_is_the_samples_of_each_as_one_table():
     assert len(table) == len(samples)
     assert table.X.dtype == np.float64 and table.y.dtype == np.uint8
     # The same samples, bit for bit, in pair_features order.
-    assert sorted(table, key=repr) == sorted(samples, key=repr)
+    assert list(table) == samples
     offsets, i, j, X = pair_features(frames)
     assert np.array_equal(table.X.view(np.uint64), X.view(np.uint64))
     assert (table.ids[:, 0] < table.ids[:, 1]).all()
