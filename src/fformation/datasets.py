@@ -27,13 +27,15 @@ is lossless. The two external loaders each pin one concrete CSV layout
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .core import AgentPose, Frame, GroupSet, ValidationError, is_integer, is_number, validate_frame
-from .jsonfile import read_json, write_json
+from .jsonfile import _read_text, read_json, write_json
 
 SCHEMA_VERSION = 1
 
@@ -77,11 +79,6 @@ def _frame_to_dict(frame: Frame) -> dict:
     if frame.truth is not None:
         out["groups"] = frame.truth.as_sorted_lists()
     return out
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DatasetFormatError(msg)
 
 
 def _error(path, frame: int, problem: str, agent: Optional[int] = None) -> DatasetFormatError:
@@ -161,25 +158,72 @@ def save_canonical(dataset: CanonicalDataset, path: str | os.PathLike) -> None:
 
 def load_canonical(path: str | os.PathLike) -> CanonicalDataset:
     doc = read_json(path, DatasetFormatError)
-    _require(isinstance(doc, dict), f"{path}: top level must be an object")
+    if not isinstance(doc, dict):
+        raise DatasetFormatError(f"{path}: top level must be an object")
     version = doc.get("schema_version")
-    _require(
-        version == SCHEMA_VERSION,
-        f"{path}: unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})",
-    )
-    _require(isinstance(doc.get("frames"), list), f"{path}: missing frames list")
-    frames = [_frame_from_dict(f, path, i) for i, f in enumerate(doc["frames"])]
+    if version != SCHEMA_VERSION:
+        raise DatasetFormatError(
+            f"{path}: unsupported schema_version {version!r} (supported: {SCHEMA_VERSION})"
+        )
+    if not isinstance(doc.get("frames"), list):
+        raise DatasetFormatError(f"{path}: missing frames list")
+    return _dataset([_frame_from_dict(f, path, i) for i, f in enumerate(doc["frames"])], path)
+
+
+def _dataset(frames: list[Frame], where) -> CanonicalDataset:
     try:
         return CanonicalDataset.from_frames(frames)
     except ValidationError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from exc
+        raise DatasetFormatError(f"{where}: {exc}") from exc
 
 
-def _parse_float(text: str, where: str) -> float:
+def _rows(path: str, header: Optional[tuple[list[str], ...]] = None) -> list[tuple[str, list[str]]]:
+    """The rows of the CSV file ``path`` that are not blank, each labeled "<path>, row
+    <physical line>". With ``header``, the first row must be one of its lists of
+    column names, spaces around a name aside; it stays the first row."""
+    if not os.path.exists(path):
+        raise DatasetFormatError(f"missing expected file {path}")
+    reader = csv.reader(io.StringIO(_read_text(path, DatasetFormatError)))
     try:
-        return float(text)
-    except ValueError:
-        raise DatasetFormatError(f"{where}: expected a number, got {text!r}") from None
+        rows = [(f"{path}, row {reader.line_num}", row) for row in reader if row]
+    except csv.Error as exc:
+        raise DatasetFormatError(f"{path}, row {reader.line_num}: {exc}") from exc
+    if header is not None and (not rows or [c.strip() for c in rows[0][1]] not in header):
+        raise DatasetFormatError(
+            f"{path}: expected header {' or '.join(map(','.join, header))}, "
+            f"got {rows[0][1] if rows else None}"
+        )
+    return rows
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]{1,4000}")
+_NUMBER = re.compile(r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _integer(text: str, where: str) -> int:
+    """``text`` as an int: an optional sign and ASCII digits, spaces around.
+    At most 4000 digits, as int() converts no more than 4300."""
+    digits = text.strip()
+    if _INTEGER.fullmatch(digits):
+        return int(digits)
+    raise DatasetFormatError(f"{where}: expected an integer, got {text!r}")
+
+
+def _number(text: str, where: str) -> float:
+    """``text`` as a finite float, written in ASCII decimal notation."""
+    digits = text.strip()
+    if _NUMBER.fullmatch(digits) and math.isfinite(value := float(digits)):
+        return value
+    raise DatasetFormatError(f"{where}: expected a finite number, got {text!r}")
+
+
+def _pose(where: str, agent: int, fields: Sequence[str]) -> AgentPose:
+    """The pose of ``agent`` from its cells x, y, body_theta[, head_theta]."""
+    numbers = [_number(text, where) for text in fields]
+    try:
+        return AgentPose.make(agent, *numbers)
+    except ValueError as exc:
+        raise DatasetFormatError(f"{where}: {exc}") from exc
 
 
 def _parse_group_string(text: str, where: str, sep_group: str, sep_member: str) -> GroupSet:
@@ -192,10 +236,9 @@ def _parse_group_string(text: str, where: str, sep_group: str, sep_member: str) 
         if not chunk:
             raise DatasetFormatError(f"{where}: empty group in annotation {text!r}")
         try:
-            members = [int(tok) for tok in chunk.replace(sep_member, " ").split()]
-        except ValueError:
+            groups.append([_integer(tok, where) for tok in chunk.replace(sep_member, " ").split()])
+        except DatasetFormatError:
             raise DatasetFormatError(f"{where}: bad agent id in annotation {text!r}") from None
-        groups.append(members)
     return GroupSet.from_iterable(groups)
 
 
@@ -216,57 +259,37 @@ def load_salsa(directory: str | os.PathLike) -> CanonicalDataset:
     """
     geo_path = os.path.join(directory, "geometryGT.csv")
     ann_path = os.path.join(directory, "fformationGT.csv")
-    for p in (geo_path, ann_path):
-        if not os.path.exists(p):
-            raise DatasetFormatError(f"missing expected file {p}")
-    with open(geo_path, newline="", encoding="utf-8") as fh:
-        geo_rows = [row for row in csv.reader(fh) if row]
-    with open(ann_path, newline="", encoding="utf-8") as fh:
-        ann_rows = [row for row in csv.reader(fh) if row]
+    geo_rows, ann_rows = _rows(geo_path), _rows(ann_path)
     if len(geo_rows) != len(ann_rows):
         raise DatasetFormatError(
             f"row count mismatch: {geo_path} has {len(geo_rows)} rows, "
             f"{ann_path} has {len(ann_rows)}"
         )
     frames = []
-    n_agents: Optional[int] = None
-    for k, (geo, ann) in enumerate(zip(geo_rows, ann_rows)):
-        where = f"{geo_path}, row {k + 1}"
+    n_agents = (len(geo_rows[0][1]) - 1) // 4 if geo_rows else 0
+    for k, ((where, geo), (ann_where, ann)) in enumerate(zip(geo_rows, ann_rows)):
         if (len(geo) - 1) % 4 != 0 or len(geo) < 5:
             raise DatasetFormatError(
                 f"{where}: expected 1 + 4*N columns (timestamp + x,y,body,head per agent), "
                 f"got {len(geo)}"
             )
-        row_agents = (len(geo) - 1) // 4
-        if n_agents is None:
-            n_agents = row_agents
-        elif row_agents != n_agents:
+        if len(geo) != 1 + 4 * n_agents:
             raise DatasetFormatError(
-                f"{where}: agent count changed from {n_agents} to {row_agents}"
+                f"{where}: agent count changed from {n_agents} to {(len(geo) - 1) // 4}"
             )
-        ts = _parse_float(geo[0], where)
-        ann_where = f"{ann_path}, row {k + 1}"
+        ts = _number(geo[0], where)
         if len(ann) != 2:
             raise DatasetFormatError(f"{ann_where}: expected 2 columns (timestamp, groups)")
-        ann_ts = _parse_float(ann[0], ann_where)
+        ann_ts = _number(ann[0], ann_where)
         if abs(ann_ts - ts) > 1e-6:
             raise DatasetFormatError(
                 f"{ann_where}: timestamp {ann_ts} does not match geometry timestamp {ts}"
             )
-        agents = []
-        for a in range(n_agents):
-            base = 1 + 4 * a
-            x, y, body, head = (_parse_float(geo[base + d], where) for d in range(4))
-            try:
-                agents.append(AgentPose.make(a + 1, x, y, body, head))
-            except ValueError as exc:
-                raise DatasetFormatError(f"{where}, agent {a + 1}: {exc}") from exc
+        agents = tuple(_pose(f"{where}, agent {a}", a, geo[4 * a - 3 : 4 * a + 1])
+                       for a in range(1, n_agents + 1))
         truth = _parse_group_string(ann[1], ann_where, sep_group=";", sep_member=" ")
-        frames.append(Frame(frame_id=k, agents=tuple(agents), timestamp=ts, truth=truth))
-    try:
-        return CanonicalDataset.from_frames(frames)
-    except ValidationError as exc:
-        raise DatasetFormatError(f"{directory}: {exc}") from exc
+        frames.append(Frame(frame_id=k, agents=agents, timestamp=ts, truth=truth))
+    return _dataset(frames, directory)
 
 
 def load_babble(directory: str | os.PathLike) -> CanonicalDataset:
@@ -283,87 +306,38 @@ def load_babble(directory: str | os.PathLike) -> CanonicalDataset:
     """
     geo_path = os.path.join(directory, "geometry.csv")
     ann_path = os.path.join(directory, "annotations.csv")
-    for p in (geo_path, ann_path):
-        if not os.path.exists(p):
-            raise DatasetFormatError(f"missing expected file {p}")
-    with open(geo_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = ["frame", "time", "agent", "x", "y", "body_theta"]
-        if header is None or [h.strip() for h in header[:6]] != expected or len(header) > 7:
+    columns = ["frame", "time", "agent", "x", "y", "body_theta"]
+    (_, header), *geo_rows = _rows(geo_path, (columns, columns + ["head_theta"]))
+    by_frame: dict[int, list[AgentPose]] = {}
+    times: dict[int, float] = {}
+    for where, row in geo_rows:
+        if len(row) != len(header):
+            raise DatasetFormatError(f"{where}: expected {len(header)} columns, got {len(row)}")
+        fid, ts = _integer(row[0], where), _number(row[1], where)
+        if times.setdefault(fid, ts) != ts:
             raise DatasetFormatError(
-                f"{geo_path}: expected header frame,time,agent,x,y,body_theta[,head_theta], "
-                f"got {header}"
+                f"{where}: frame {fid} has conflicting times {times[fid]} and {ts}"
             )
-        has_head = len(header) == 7
-        if has_head and header[6].strip() != "head_theta":
-            raise DatasetFormatError(f"{geo_path}: seventh column must be head_theta")
-        by_frame: dict[int, list[AgentPose]] = {}
-        times: dict[int, float] = {}
-        for k, row in enumerate(reader):
-            if not row:
-                continue
-            where = f"{geo_path}, row {k + 2}"
-            if len(row) != len(header):
-                raise DatasetFormatError(f"{where}: expected {len(header)} columns, got {len(row)}")
-            try:
-                fid = int(row[0])
-                agent = int(row[2])
-            except ValueError:
-                raise DatasetFormatError(f"{where}: frame and agent must be integers") from None
-            ts = _parse_float(row[1], where)
-            x, y, body = (_parse_float(row[i], where) for i in (3, 4, 5))
-            head = _parse_float(row[6], where) if has_head else None
-            prev_ts = times.setdefault(fid, ts)
-            if prev_ts != ts:
-                raise DatasetFormatError(
-                    f"{where}: frame {fid} has conflicting times {prev_ts} and {ts}"
-                )
-            try:
-                by_frame.setdefault(fid, []).append(AgentPose.make(agent, x, y, body, head))
-            except ValueError as exc:
-                raise DatasetFormatError(f"{where}: {exc}") from exc
+        by_frame.setdefault(fid, []).append(_pose(where, _integer(row[2], where), row[3:]))
     truths: dict[int, GroupSet] = {}
-    with open(ann_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["frame", "groups"]:
-            raise DatasetFormatError(f"{ann_path}: expected header frame,groups, got {header}")
-        for k, row in enumerate(reader):
-            if not row:
-                continue
-            where = f"{ann_path}, row {k + 2}"
-            if len(row) != 2:
-                raise DatasetFormatError(f"{where}: expected 2 columns, got {len(row)}")
-            try:
-                fid = int(row[0])
-            except ValueError:
-                raise DatasetFormatError(f"{where}: frame must be an integer") from None
-            if fid in truths:
-                raise DatasetFormatError(f"{where}: duplicate annotation for frame {fid}")
-            truths[fid] = _parse_group_string(row[1], where, sep_group="},", sep_member=",")
-    geo_ids = set(by_frame)
-    ann_ids = set(truths)
-    if geo_ids != ann_ids:
-        only_geo = sorted(geo_ids - ann_ids)[:5]
-        only_ann = sorted(ann_ids - geo_ids)[:5]
+    for where, row in _rows(ann_path, (["frame", "groups"],))[1:]:
+        if len(row) != 2:
+            raise DatasetFormatError(f"{where}: expected 2 columns, got {len(row)}")
+        fid = _integer(row[0], where)
+        if fid in truths:
+            raise DatasetFormatError(f"{where}: duplicate annotation for frame {fid}")
+        truths[fid] = _parse_group_string(row[1], where, sep_group="},", sep_member=",")
+    if by_frame.keys() != truths.keys():
         raise DatasetFormatError(
             f"frame ids do not align between {geo_path} and {ann_path}: "
-            f"only in geometry {only_geo}, only in annotations {only_ann}"
+            f"only in geometry {sorted(by_frame - truths.keys())[:5]}, "
+            f"only in annotations {sorted(truths - by_frame.keys())[:5]}"
         )
     frames = [
-        Frame(
-            frame_id=fid,
-            agents=tuple(sorted(by_frame[fid], key=lambda a: a.agent_id)),
-            timestamp=times[fid],
-            truth=truths[fid],
-        )
-        for fid in sorted(by_frame)
+        Frame(fid, tuple(sorted(agents, key=lambda a: a.agent_id)), times[fid], truths[fid])
+        for fid, agents in by_frame.items()
     ]
-    try:
-        return CanonicalDataset.from_frames(frames)
-    except ValidationError as exc:
-        raise DatasetFormatError(f"{directory}: {exc}") from exc
+    return _dataset(frames, directory)
 
 
 def split_frames(

@@ -85,14 +85,21 @@ def write_json(doc: Any, path: str | os.PathLike) -> None:
         fh.writelines(_pieces(doc))
 
 
+def _read_text(path: str | os.PathLike, error: type[Exception]) -> str:
+    """The text of ``path``. Bytes that are not UTF-8 raise ``error``,
+    naming the path and the byte where decoding failed."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
+
+
 def read_json(path: str | os.PathLike, error: type[Exception]) -> Any:
     """The document in ``path``. Text that is not UTF-8 or not JSON raises
     ``error``, naming the byte, or the line and column, where reading failed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from exc
+        return json.loads(_read_text(path, error))
     except json.JSONDecodeError as exc:
         raise error(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass, field, fields
+from typing import Any, Callable
 
 import numpy as np
 
-from .core import AgentPose, Frame, GroupSet, is_integer
-from .datasets import CanonicalDataset, DatasetFormatError
+from .core import AgentPose, Frame, GroupSet, is_integer, is_number
+from .datasets import CanonicalDataset, DatasetFormatError, _integer
 from .jsonfile import read_json, write_json
 
 # Default circle radius per group size, in meters.
@@ -30,17 +30,49 @@ class PlacementError(RuntimeError):
     """Could not place groups/distractors within the retry budget."""
 
 
+def _positive(value: Any) -> bool:
+    return is_number(value) and math.isfinite(value) and value > 0
+
+
+def _sizes(value: Any) -> bool:
+    return (isinstance(value, dict) and bool(value) and all(map(is_integer, value))
+            and all(map(_positive, value.values())))
+
+
+def _pair(value: Any, test: Callable[[Any], bool]) -> bool:
+    return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(test, value))
+
+
+_NON_NEGATIVE = (lambda v: is_number(v) and math.isfinite(v) and v >= 0, "a finite number >= 0")
+_COUNT = (lambda v: is_integer(v) and v >= 0, "an integer >= 0")
+_AT_LEAST_ONE = (lambda v: is_integer(v) and v >= 1, "an integer >= 1")
+
+# The values each SynthConfig field accepts, as (test, description).
+_FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
+    "n_frames": _AT_LEAST_ONE,
+    "group_size_distribution": (_sizes, "a nonempty map of group sizes to finite weights > 0"),
+    "tightness_mean_per_size": (_sizes, "a nonempty map of group sizes to finite radii > 0"),
+    "radial_jitter": _NON_NEGATIVE,
+    "angular_jitter": _NON_NEGATIVE,
+    "heading_noise": _NON_NEGATIVE,
+    "n_distractors": _COUNT,
+    "area": (lambda v: _pair(v, _positive), "two finite extents > 0"),
+    "seed": _COUNT,
+    "groups_per_frame": (lambda v: _pair(v, is_integer) and 0 <= v[0] <= v[1],
+                         "two integers (lo, hi) with 0 <= lo <= hi"),
+    "group_clearance": _NON_NEGATIVE,
+    "distractor_clearance": _NON_NEGATIVE,
+    "max_retries": _AT_LEAST_ONE,
+}
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Generator parameters; distances in meters, angles in degrees."""
 
     n_frames: int = 100
-    group_size_distribution: dict[int, float] = field(
-        default_factory=lambda: dict(DEFAULT_SIZE_WEIGHTS)
-    )
-    tightness_mean_per_size: dict[int, float] = field(
-        default_factory=lambda: dict(DEFAULT_TIGHTNESS)
-    )
+    group_size_distribution: dict[int, float] = field(default_factory=DEFAULT_SIZE_WEIGHTS.copy)
+    tightness_mean_per_size: dict[int, float] = field(default_factory=DEFAULT_TIGHTNESS.copy)
     radial_jitter: float = 0.05
     angular_jitter: float = 8.0
     heading_noise: float = 10.0
@@ -53,69 +85,37 @@ class SynthConfig:
     max_retries: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("n_frames", "n_distractors", "seed", "max_retries"):
-            if not is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not all(map(is_integer, self.groups_per_frame)):
-            raise ValueError(f"groups_per_frame must be integers, got {self.groups_per_frame!r}")
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be >= 1")
-        if not self.group_size_distribution:
-            raise ValueError("group_size_distribution must be nonempty")
-        for size, weight in self.group_size_distribution.items():
+        for name, (test, accepted) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            try:
+                if not test(value):
+                    raise ValueError(f"{name} must be {accepted}, got {value!r}")
+            except OverflowError as exc:  # an integer too large for a float
+                raise ValueError(f"{name}: {exc}") from exc
+        for size in self.group_size_distribution:
             if size < 2:
                 raise ValueError(f"group size {size} < 2")
-            if weight <= 0:
-                raise ValueError(f"group size {size} has non-positive weight {weight}")
             if size not in self.tightness_mean_per_size:
                 raise ValueError(f"no tightness mean for group size {size}")
-        for size, r in self.tightness_mean_per_size.items():
-            if r <= 0:
-                raise ValueError(f"tightness mean for size {size} must be positive, got {r}")
-        for name in ("radial_jitter", "angular_jitter", "heading_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.n_distractors < 0:
-            raise ValueError("n_distractors must be >= 0")
-        if len(self.area) != 2 or self.area[0] <= 0 or self.area[1] <= 0:
-            raise ValueError("area must be two positive extents")
-        lo, hi = self.groups_per_frame
-        if not 0 <= lo <= hi:
-            raise ValueError("groups_per_frame must be (lo, hi) with 0 <= lo <= hi")
-        if self.group_clearance < 0 or self.distractor_clearance < 0:
-            raise ValueError("clearances must be >= 0")
-        if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "n_frames": self.n_frames,
-            "group_size_distribution": {str(k): v for k, v in self.group_size_distribution.items()},
-            "tightness_mean_per_size": {str(k): v for k, v in self.tightness_mean_per_size.items()},
-            "radial_jitter": self.radial_jitter,
-            "angular_jitter": self.angular_jitter,
-            "heading_noise": self.heading_noise,
-            "n_distractors": self.n_distractors,
-            "area": list(self.area),
-            "seed": self.seed,
-            "groups_per_frame": list(self.groups_per_frame),
-            "group_clearance": self.group_clearance,
-            "distractor_clearance": self.distractor_clearance,
-            "max_retries": self.max_retries,
-        }
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        for name, value in doc.items():
+            if isinstance(value, dict):
+                doc[name] = {str(k): v for k, v in value.items()}
+            elif isinstance(value, tuple):
+                doc[name] = list(value)
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict[str, Any]) -> "SynthConfig":
         kwargs: dict[str, Any] = {}
-        fields = set(cls.__dataclass_fields__)
         for key, value in doc.items():
-            if key not in fields:
+            if key not in cls.__dataclass_fields__:
                 raise ValueError(f"unknown SynthConfig field {key!r}")
-            if key in ("group_size_distribution", "tightness_mean_per_size"):
-                value = {int(k): float(v) for k, v in value.items()}
-            elif key in ("area", "groups_per_frame"):
-                value = tuple(value)
-            kwargs[key] = value
+            if isinstance(value, dict):  # group sizes are written as text
+                value = {_integer(k, key): v for k, v in value.items()}
+            kwargs[key] = tuple(value) if isinstance(value, list) else value
         return cls(**kwargs)
 
 
@@ -125,7 +125,7 @@ def load_synth_config(path: str | os.PathLike) -> SynthConfig:
         raise DatasetFormatError(f"{path}: expected a JSON object")
     try:
         return SynthConfig.from_dict(doc)
-    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+    except ValueError as exc:
         raise DatasetFormatError(f"{path}: {exc}") from exc
 
 

@@ -56,6 +56,36 @@ def test_synth_config_counts_must_be_integers(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"group_clearance": NaN}', "group_clearance must be a finite number >= 0"),
+        ('{"radial_jitter": true}', "radial_jitter must be a finite number >= 0"),
+        ('{"area": [true, 5.0]}', "area must be two finite extents > 0"),
+        ('{"area": [Infinity, 12]}', "area must be two finite extents > 0"),
+        ('{"seed": -1}', "seed must be an integer >= 0"),
+        ('{"group_size_distribution": {"2": "0.5"}}', "group_size_distribution must be"),
+        ('{"group_size_distribution": {"2": true}}', "group_size_distribution must be"),
+        ('{"group_size_distribution": {"2": NaN}}', "group_size_distribution must be"),
+        ('{"group_size_distribution": {"1_0": 1.0}}',
+         "group_size_distribution: expected an integer, got '1_0'"),
+        ('{"tightness_mean_per_size": {"2": NaN}}', "tightness_mean_per_size must be"),
+    ],
+)
+def test_synth_config_values_are_checked_per_field(tmp_path, capsys, text, message):
+    config = tmp_path / "config.json"
+    config.write_text(text, encoding="utf-8")
+    named = f"{config}: {message}"
+    with pytest.raises(DatasetFormatError) as caught:
+        load_synth_config(config)
+    assert str(caught.value).startswith(named)
+    out = tmp_path / "corpus.json"
+    assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_synth_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["synth", "--out", str(a)]) == 0

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -19,6 +20,8 @@ from fformation.datasets import (
     split_frames,
 )
 from fformation.synthetic import SynthConfig, generate_synthetic
+
+from csv_exports import babble_tables, export_frames, salsa_tables, write_tables
 
 TWO_PI = 2.0 * math.pi
 
@@ -465,3 +468,138 @@ def test_load_canonical_names_the_line_and_column_of_broken_json(tmp_path):
     path.write_bytes(text[:at].encode() + b"\xff" + text[at:].encode())
     with pytest.raises(DatasetFormatError, match=f"not UTF-8 text at byte {at}:"):
         load_canonical(path)
+
+
+# ------------------------------------------------ CSV exports, fault injection
+
+LAYOUTS = {"salsa": (load_salsa, salsa_tables), "babble": (load_babble, babble_tables)}
+GROUP_FILES = {"fformationGT.csv", "annotations.csv"}  # their column 1 holds the groups
+
+# Cell values that no number, id or group cell accepts: text, NaN and
+# infinities, a float too large, Python's digit separator, a digit that is
+# not ASCII, and hexadecimal. (An empty group cell means no groups.)
+BAD_CELLS = ("", "x", "nan", "inf", "-inf", "1e999", "1_0", "٣", "0x1f")
+
+
+def _cell_cases(layout, tables, frames):
+    """(where, mutated tables, expectation) for every cell of every file. A
+    bad value raises ("raise"). The cell with spaces around, or with a plus
+    sign before a number or an id, loads the frames as they were; an empty
+    group cell loads its frame with no groups."""
+    for name, rows in tables.items():
+        for r, row in enumerate(rows):
+            header = layout == "babble" and r == 0
+            for c, cell in enumerate(row):
+                group_cell = name in GROUP_FILES and c == 1 and not header
+                values = [(v, "raise") for v in BAD_CELLS if v != cell] + [(f" {cell} ", frames)]
+                if not (header or group_cell or cell.startswith("-")):
+                    values.append((f"+{cell}", frames))
+                for value, expect in values:
+                    if group_cell and value == "":
+                        k = r - (layout == "babble")  # below the header
+                        cleared = dataclasses.replace(frames[k], truth=GroupSet())
+                        expect = frames[:k] + (cleared,) + frames[k + 1 :]
+                    mutated = {n: [list(x) for x in rs] for n, rs in tables.items()}
+                    mutated[name][r][c] = value
+                    yield (name, r, c, value), mutated, expect
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_csv_export_loads_as_the_frames_it_holds(tmp_path, layout):
+    frames = export_frames(5, seed=3)
+    load, tables = LAYOUTS[layout]
+    assert load(write_tables(tmp_path, tables(frames))).frames == frames
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_mutated_csv_fields_are_rejected_or_load_as_they_say(tmp_path, layout):
+    frames = export_frames(2, seed=4)
+    load, tables = LAYOUTS[layout]
+    outcomes = []
+    for where, mutated, expect in _cell_cases(layout, tables(frames), frames):
+        write_tables(tmp_path, mutated)
+        try:
+            loaded = load(tmp_path).frames
+        except DatasetFormatError:
+            loaded = "raise"
+        assert loaded == expect, where
+        outcomes.append(expect is frames)
+    assert set(outcomes) == {True, False}
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_csv_exports_with_a_changed_byte_are_rejected_or_load_a_valid_dataset(tmp_path, layout):
+    frames = export_frames(2, seed=4)
+    load, tables = LAYOUTS[layout]
+    write_tables(tmp_path, tables(frames))
+    rng = np.random.default_rng(43)
+    outcomes = set()
+    for name in tables(frames):
+        path = tmp_path / name
+        raw = path.read_bytes()
+        for at in rng.choice(len(raw), size=min(40, len(raw)), replace=False).tolist():
+            changed = bytearray(raw)
+            changed[at] = (raw[at] + int(rng.integers(1, 256))) % 256
+            path.write_bytes(bytes(changed))
+            try:
+                loaded = load(tmp_path)
+            except DatasetFormatError:
+                outcomes.add("rejected")
+                continue
+            # No NaN or infinity slipped through: the dataset saves and loads again.
+            save_canonical(loaded, tmp_path / "again.json")
+            assert load_canonical(tmp_path / "again.json") == loaded, (name, at)
+            outcomes.add("same" if loaded.frames == frames else "different")
+        path.write_bytes(raw)
+    assert {"rejected", "different"} <= outcomes
+
+
+@pytest.mark.parametrize(
+    "layout, name, row, column, value, message",
+    [
+        ("salsa", "geometryGT.csv", 0, 0, "nan", "expected a finite number, got 'nan'"),
+        ("salsa", "fformationGT.csv", 1, 0, "inf", "expected a finite number, got 'inf'"),
+        ("babble", "geometry.csv", 2, 1, "-inf", "expected a finite number, got '-inf'"),
+        ("babble", "geometry.csv", 1, 0, "1_0", "expected an integer, got '1_0'"),
+        ("babble", "geometry.csv", 3, 2, "٣", "expected an integer, got '٣'"),
+        ("babble", "annotations.csv", 2, 0, "1_0", "expected an integer, got '1_0'"),
+        ("salsa", "fformationGT.csv", 0, 1, "1 ٣;4 5 6", "bad agent id"),
+        ("babble", "annotations.csv", 1, 1, "{1_0,2},{4,5,6}", "bad agent id"),
+    ],
+)
+def test_csv_probes_name_the_file_and_row(tmp_path, layout, name, row, column, value, message):
+    load, tables = LAYOUTS[layout]
+    mutated = tables(export_frames(2))
+    mutated[name][row][column] = value
+    write_tables(tmp_path, mutated)
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{tmp_path / name}, row {row + 1}: {message}")):
+        load(tmp_path)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_csv_bytes_that_are_not_utf8_name_the_file_and_byte(tmp_path, layout):
+    load, tables = LAYOUTS[layout]
+    files = tables(export_frames(2))
+    for name in files:
+        path = write_tables(tmp_path, files) / name
+        raw = path.read_bytes()
+        at = len(raw) // 2
+        path.write_bytes(raw[:at] + b"\xff" + raw[at + 1 :])
+        with pytest.raises(DatasetFormatError, match=re.escape(f"{path}: not UTF-8 text at byte {at}:")):
+            load(tmp_path)
+
+
+@pytest.mark.parametrize(
+    "layout, name",
+    [("salsa", "geometryGT.csv"), ("salsa", "fformationGT.csv"),
+     ("babble", "geometry.csv"), ("babble", "annotations.csv")],
+)
+def test_csv_errors_name_the_physical_line_after_blank_lines(tmp_path, layout, name):
+    load, tables = LAYOUTS[layout]
+    mutated = tables(export_frames(3))
+    mutated[name][-1][0] = "x"  # a timestamp or a frame id
+    path = write_tables(tmp_path, mutated) / name
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    path.write_text("".join(lines[:1] + ["\n", "\n"] + lines[1:]), encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match=re.escape(f"{path}, row {len(lines) + 2}: ")):
+        load(tmp_path)
