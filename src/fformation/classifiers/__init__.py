@@ -10,12 +10,13 @@ predicted label is 1 exactly when the score is >= 0.5.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import compress
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
 from ..core import Frame, PairSample, PairTable, RelationMatrix
-from ..features import ordered_agents, pair_features, pair_indices
+from ..features import _pair_rows, pair_indices
 from .base import (
     DEFAULT_HYPERPARAMS,
     KIND_ALIASES,
@@ -91,7 +92,8 @@ def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
     numpy warning: the finiteness checks decide.
     """
     with np.errstate(all="ignore"):
-        Xs = model.scaling.apply(np.array(X, dtype=np.float64, ndmin=2))
+        X = np.asarray(X, dtype=np.float64)  # standardizing copies it
+        Xs = model.scaling.apply(X if X.ndim > 1 else X.reshape(1, -1))
         if not np.isfinite(Xs).all():
             raise ValueError("prediction inputs must be finite, also once standardized")
         scores = REGISTRY[model.kind].scores(model.params, model.hyperparams, Xs)
@@ -139,16 +141,30 @@ def build_relation_matrix(
     construction (the pair features themselves are order-independent).
     Given a sequence of frames, returns one matrix per frame, and the
     pairs of all of them are scored in one ``predict_batch`` call.
+
+    The labels are scattered into a write-locked ``m`` without rerunning
+    the ``RelationMatrix`` constructor's checks, and each matrix carries
+    the belief rows as int bitmasks and its positive pairs, made from the
+    same labels, for ``greedy_reconstruct`` to read.
     """
     single = isinstance(frames, Frame)
     batch = [frames] if single else list(frames)
-    offsets, _, _, X = pair_features(batch)
+    poses, offsets, _, _, X = _pair_rows(batch)
     labels, _ = predict_batch(model, X)
+    ids = [p.agent_id for p in poses]
+    is_positive = labels.tolist()
     matrices = []
+    start = 0
     for f, frame in enumerate(batch):
-        ids = tuple(a.agent_id for a in ordered_agents(frame))
-        cells, eye = _cells(len(ids))
+        n = len(frame.agents)
+        rows = slice(offsets[f], offsets[f + 1])
+        cells, eye = _cells(n)
         m = eye.copy()
-        m[cells] = labels[offsets[f] : offsets[f + 1]]
-        matrices.append(RelationMatrix(ids=ids, m=m.reshape(len(ids), len(ids))))
+        m[cells] = labels[rows]
+        m.setflags(write=False)
+        # The frame's pairs (i, j) labeled 1, in row-major order.
+        pairs = tuple(compress(zip(*pair_indices(n).tolist()), is_positive[rows]))
+        matrices.append(RelationMatrix._of_positive_pairs(
+            tuple(ids[start : start + n]), m.reshape(n, n), pairs))
+        start += n
     return matrices[0] if single else matrices

@@ -98,7 +98,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     tol = as_tolerance(args.tolerance)
     det_data = load_canonical(args.detections)
-    truth_data = load_canonical(args.truth)
+    truth_data = _load(args.truth, args.format)
     report = evaluate(
         _groups_by_frame(det_data, args.detections),
         _groups_by_frame(truth_data, args.truth),
@@ -149,12 +149,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p: argparse.ArgumentParser) -> None:
+    def add_format(p: argparse.ArgumentParser, what: str = "input data") -> None:
         p.add_argument(
             "--format",
             choices=sorted(_LOADERS),
             default="canonical",
-            help="input data layout (default: canonical)",
+            help=f"{what} layout (default: canonical)",
         )
 
     p = sub.add_parser("train", help="train a pairwise classifier")
@@ -176,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score detections against truth")
     p.add_argument("--detections", required=True, help="canonical file with detected groups")
-    p.add_argument("--truth", required=True, help="canonical file with truth groups")
+    p.add_argument("--truth", required=True, help="dataset with truth groups (file or directory)")
+    add_format(p, "truth dataset")
     p.add_argument("--tolerance", default="0.6667", help='match tolerance, e.g. "0.6667" or "2/3"')
     p.add_argument("--matching", choices=("greedy", "exact"), default="greedy")
     p.set_defaults(func=cmd_evaluate)

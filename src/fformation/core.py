@@ -204,10 +204,44 @@ class RelationMatrix:
     Diagonal entries are all 1. ``ids`` lists the agent ids in row order
     (ascending). The underlying array is write-locked on construction,
     and pickled or copied matrices are built through the constructor too.
+
+    Greedy reconstruction reads each row as an int bitmask (bit k for row
+    index k) together with the positive pairs (i, j), i < j, in row-major
+    order. ``classifiers.build_relation_matrix`` attaches both, made from
+    the labels it scattered into ``m``, and skips the constructor's checks,
+    which its matrices pass by construction. A matrix built through the
+    constructor is validated, and its rows are read from ``m`` when the
+    greedy asks for them.
     """
 
     ids: tuple[int, ...]
     m: np.ndarray = field(repr=False)
+    # (rows, pairs) as the builder attached them; None for a validated matrix.
+    _beliefs: Optional[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @classmethod
+    def _of_positive_pairs(
+        cls, ids: tuple[int, ...], m: np.ndarray, pairs: tuple[tuple[int, int], ...]
+    ) -> "RelationMatrix":
+        """A matrix whose write-locked ``m`` its builder made symmetric,
+        unit-diagonal and 0/1, with ``pairs`` its positive pairs (i < j) in
+        row-major order. The constructor's checks are not rerun."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "ids", ids)
+        object.__setattr__(matrix, "m", m)
+        object.__setattr__(matrix, "_beliefs", (_belief_masks(len(ids), pairs), pairs))
+        return matrix
+
+    def _belief_rows(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """Each row as an int bitmask, and the positive pairs (i < j) in
+        row-major order: those the builder attached, else read from ``m``."""
+        if self._beliefs is not None:
+            return self._beliefs
+        i, j = np.nonzero(np.triu(self.m, 1))
+        pairs = tuple(zip(i.tolist(), j.tolist()))
+        return _belief_masks(self.n, pairs), pairs
 
     def __post_init__(self) -> None:
         m = np.array(self.m, dtype=np.uint8, order="C")  # a copy the caller cannot reach
@@ -231,6 +265,16 @@ class RelationMatrix:
     @property
     def n(self) -> int:
         return len(self.ids)
+
+
+def _belief_masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The n rows of a relation matrix as int bitmasks, from its positive
+    pairs and its unit diagonal."""
+    rows = [1 << k for k in range(n)]
+    for i, j in pairs:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
 
 
 def check_groups(groups: GroupSet, known_ids: Optional[set[int]] = None, where: str = "") -> None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Sequence
 
@@ -31,6 +31,7 @@ __all__ = ["distance", "effort_angle", "ordered_agents", "pair_features", "pair_
            "pairwise_deconstruct"]
 
 _BY_ID = attrgetter("agent_id")
+_POSE = attrgetter("x", "y", "body_theta")
 
 # Pairs whose features one pass computes. Beyond its result, a call holds
 # one index a pair and one pass, about 1.5 MB: most of it the Python float
@@ -99,15 +100,17 @@ def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.n
     ValidationError, naming the frame, for an invalid frame.
     """
     _, offsets, ij, _, X = _pair_rows(frames)
-    return offsets, ij[0], ij[1], X
+    i, j = np.array(ij)  # the caller's to change, not the cache's
+    return np.array(offsets, dtype=np.intp), i, j, X
 
 
 def _pair_rows(
     frames: Sequence[Frame],
-) -> tuple[list[AgentPose], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`pair_features` as ``(poses, offsets, ij, first, X)``, where
-    ``ij`` stacks ``i`` and ``j``, ``poses`` lists the frames' agents in
-    row order and pair p's frame starts at ``poses[first[p]]``."""
+) -> tuple[list[AgentPose], list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pair_features` as ``(poses, offsets, ij, ends, X)``, where
+    ``offsets`` is a list, ``ij`` stacks ``i`` and ``j``, ``poses`` lists
+    the frames' agents in row order and ``ends`` holds each pair's two
+    agents as positions in ``poses``. ``ij`` and ``ends`` may be read-only."""
     poses: list[AgentPose] = []
     sizes = []
     for frame in frames:
@@ -115,18 +118,24 @@ def _pair_rows(
         poses += ordered_agents(frame)
         sizes.append(len(frame.agents))
     counts = [n * (n - 1) // 2 for n in sizes]
-    offsets, starts = np.array([[0, *accumulate(counts)], [0, *accumulate(sizes)]], dtype=np.intp)
-    ij = np.concatenate([pair_indices(n) for n in sizes] or [pair_indices(0)], axis=1)
-    first = np.repeat(starts[:-1], counts)  # where each pair's frame starts in ``poses``
-    pose = np.array([(p.x, p.y, p.body_theta) for p in poses], dtype=np.float64)
+    offsets = [0, *accumulate(counts)]
+    if len(sizes) < 2:
+        # No frame or one: the cached indices of its agents are their
+        # positions in ``poses`` already.
+        ij = ends = pair_indices(sum(sizes))
+    else:
+        ij = np.concatenate([pair_indices(n) for n in sizes], axis=1)
+        ends = ij + np.repeat([0, *accumulate(sizes[:-1])], counts)
+    pose = np.fromiter(chain.from_iterable(map(_POSE, poses)), np.float64, 3 * len(poses))
+    pose = pose.reshape(-1, 3)
     X = np.empty((ij.shape[1], 2))
     for start in range(0, ij.shape[1], _BLOCK_PAIRS):
         rows = slice(start, start + _BLOCK_PAIRS)
-        ends = ij[:, rows] + first[rows]
+        block = ends[:, rows]
         # (2, pairs, 3): the poses of a and of b; with the halves swapped,
         # of b and of a. The offsets are taken both ways, not negated:
         # atan2 tells +0 from -0.
-        at = pose[ends]
+        at = pose[block]
         dx, dy = (at[::-1] - at).reshape(-1, 3).T[:2].tolist()
         # The turns of a toward b and of b toward a. atan2 and hypot are
         # math's, per element: numpy's own can differ from them in the last
@@ -140,9 +149,9 @@ def _pair_rows(
         out = X[rows]
         out[:, 0] = dist = np.fromiter(map(math.hypot, dx, dy), np.float64, len(out))
         np.add(turn[0], turn[1], out=out[:, 1])
-        if not dist.all():  # a distance is zero exactly when both offsets are
+        if np.count_nonzero(dist) < len(dist):  # zero exactly when both offsets are
             for k in np.flatnonzero(dist == 0.0).tolist():
-                a, b = ends[:, k].tolist()
+                a, b = block[:, k].tolist()
                 warnings.warn(
                     f"agents {poses[a].agent_id} and {poses[b].agent_id} share a position; "
                     f"effort angle defaulted to 0",
@@ -150,7 +159,7 @@ def _pair_rows(
                     stacklevel=3,
                 )
             out[dist == 0.0, 1] = 0.0
-    return poses, offsets, ij, first, X
+    return poses, offsets, ij, ends, X
 
 
 def ordered_agents(frame: Frame) -> list[AgentPose]:
@@ -191,9 +200,8 @@ def _pairs(frames: list[Frame], labeled: bool) -> tuple[np.ndarray, np.ndarray, 
     """The pairs of ``frames`` in :func:`pair_features` order: the
     (pairs, 2) ids of their agents, their features and, when ``labeled``,
     their labels."""
-    poses, _, ij, first, X = _pair_rows(frames)
+    poses, _, _, ends, X = _pair_rows(frames)
     ids = [p.agent_id for p in poses]
-    ends = ij + first  # each pair's two agents, as positions in ``poses``
     y = None
     if labeled:
         # Truth groups have indices >= 0; each ungrouped agent takes a

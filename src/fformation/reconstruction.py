@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from .classifiers import TrainedModel, build_relation_matrix
 from .core import Frame, GroupSet, RelationMatrix
 
@@ -55,22 +53,15 @@ def greedy_reconstruct(matrix: RelationMatrix, mode: str = "intersection") -> Gr
     Belief rows and the remaining agents are int bitmasks, and only the
     positive pairs are scored: listed in row-major order, so the first
     maximum is the lexicographic one, and dropped once they touch an
-    emitted agent.
+    emitted agent. A matrix from ``build_relation_matrix`` carries its rows
+    and positive pairs, made from the pair labels; for one a caller built
+    (and the constructor validated), they are read from ``m``.
     """
     _check_mode(mode)
-    n = matrix.n
-    packed = np.packbits(matrix.m, axis=1, bitorder="little")
-    width = packed.shape[1]
-    raw = packed.tobytes()
-    beliefs = [int.from_bytes(raw[k * width:(k + 1) * width], "little") for k in range(n)]
-    # (B_i & B_j, B_i | B_j, {i, j}) of every positive pair (i < j): j runs
-    # over the set bits of B_i above bit i.
-    live = [
-        (belief & beliefs[j], belief | beliefs[j], (1 << i) | (1 << j))
-        for i, belief in enumerate(beliefs)
-        for j in _members(belief >> i + 1 << i + 1)
-    ]
-    remaining = (1 << n) - 1
+    rows, pairs = matrix._belief_rows()
+    # (B_i & B_j, B_i | B_j, {i, j}) of every positive pair (i < j).
+    live = [(rows[i] & rows[j], rows[i] | rows[j], (1 << i) | (1 << j)) for i, j in pairs]
+    remaining = (1 << matrix.n) - 1
     groups = []
     while live:
         sizes = [(agree & remaining).bit_count() for agree, _, _ in live]

@@ -11,6 +11,8 @@ from fformation.datasets import DatasetFormatError, load_canonical, save_canonic
 from fformation.features import pairwise_deconstruct
 from fformation.synthetic import SynthConfig, load_synth_config, save_synth_config
 
+import csv_exports
+
 
 @pytest.fixture()
 def corpus(tmp_path):
@@ -309,6 +311,28 @@ def test_error_paths_return_nonzero(tmp_path, corpus, capsys):
         rc = main(["detect", "--model", str(model), "--data", str(corpus), "--out", str(tmp_path / "d.json")])
     assert rc == 1
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layout", ["salsa", "babble"])
+def test_evaluate_reads_the_truth_of_an_export(tmp_path, capsys, layout):
+    # Detections of an export score the same against the export itself as
+    # against the canonical file of the same corpus.
+    csv_exports.main([str(tmp_path)])
+    export, model, detected = tmp_path / layout, tmp_path / "model.json", tmp_path / "det.json"
+    for argv in (["train", "--kind", "logreg", "--out", str(model)],
+                 ["detect", "--model", str(model), "--out", str(detected)]):
+        assert main([*argv, "--data", str(export), "--format", layout]) == 0
+    capsys.readouterr()
+    reports = []
+    for truth in (["--truth", str(export), "--format", layout],
+                  ["--truth", str(tmp_path / "corpus.json")]):
+        assert main(["evaluate", "--detections", str(detected), *truth]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1] and "f1:" in reports[0]
+    # The detections file is canonical, whatever layout the truth has.
+    assert main(["evaluate", "--detections", str(export), "--truth", str(export),
+                 "--format", layout]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_evaluate_mismatched_frames_fails(tmp_path, corpus, capsys):

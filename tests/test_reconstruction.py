@@ -1,7 +1,10 @@
 """Greedy reconstruction against independent oracles and fuzz properties."""
 
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 import random
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -299,8 +302,8 @@ def noisy_cliques(rng, n, n_groups, p_flip):
 
 
 @pytest.mark.parametrize("mode", ["intersection", "union"])
-def test_greedy_matches_oracle_beyond_one_machine_word(mode):
-    # Belief rows of more than 64 agents span several words of packed bits.
+def test_greedy_matches_oracle_beyond_one_machine_word(models, mode):
+    # Belief rows of more than 64 agents are ints wider than a machine word.
     rng = np.random.default_rng(25)
     for n in (65, 71, 128, 200):
         for n_groups, p_flip in ((n // 3, 0.01), (n // 5, 0.03), (2, 0.0)):
@@ -308,6 +311,12 @@ def test_greedy_matches_oracle_beyond_one_machine_word(mode):
             m = noisy_cliques(rng, n, n_groups, p_flip)
             got = greedy_reconstruct(matrix(ids, m), mode=mode).groups
             assert list(got) == oracle_greedy(ids, m.tolist(), mode), (n, n_groups, p_flip)
+    # The rows that build_relation_matrix makes from the labels of a crowd.
+    crowd = [f for f in mixed_frames() if len(f.agents) > 64]
+    for kind, model in models.items():
+        for rm in build_relation_matrix(model, crowd):
+            got = greedy_reconstruct(rm, mode=mode).groups
+            assert len(got) > 1 and list(got) == oracle_greedy(rm.ids, rm.m.tolist(), mode), kind
 
 
 # ------------------------------------------------ detection of many frames
@@ -321,8 +330,9 @@ def models():
 
 
 def mixed_frames():
-    """Frames of 0 and 1 agents, coincident agents, unsorted ids, a crowd
-    of more than 64 agents, and ordinary scenes, with repeated frame ids."""
+    """Frames of 0, 1 and 2 agents, coincident agents, unsorted ids, a
+    crowd of more than 64 agents, and ordinary scenes, with repeated frame
+    ids."""
     crowd = generate_synthetic(
         SynthConfig(n_frames=1, groups_per_frame=(16, 16), n_distractors=20, area=(40.0, 40.0),
                     seed=33)
@@ -344,6 +354,8 @@ def mixed_frames():
     return [
         Frame(frame_id=80, agents=()),
         Frame(frame_id=81, agents=(AgentPose.make(4, 0.0, 0.0, 0.0),)),
+        Frame(frame_id=82, agents=(AgentPose.make(6, 0.0, 0.0, 0.0),
+                                   AgentPose.make(2, 1.0, 0.0, math.pi))),
         coincident,
         unsorted,
         Frame(frame_id=92, agents=tuple(shuffled)),
@@ -378,6 +390,23 @@ def test_relation_matrices_of_many_frames_equal_those_of_one_frame(models, kind)
         if len(frame.agents) < 30:
             ids, m = reference_relation_matrix(model, frame)
             assert got.ids == ids and np.array_equal(got.m, m)
+        # The belief rows and positive pairs made from the labels equal those
+        # read from the same matrix validated, and so do the groups; copies
+        # go through the constructor.
+        validated = RelationMatrix(got.ids, got.m)
+        assert validated._beliefs is None
+        copies = (pickle.loads(pickle.dumps(got)), copy.deepcopy(got), copy.copy(got),
+                  dataclasses.replace(got))
+        for rm in (got, one, validated, *copies):
+            assert rm.ids == got.ids and np.array_equal(rm.m, got.m) and rm.m.dtype == np.uint8
+            assert not rm.m.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rm.m[0:1, 0:1] = 1
+            assert rm._belief_rows() == validated._belief_rows()
+            for mode in ("intersection", "union"):
+                assert greedy_reconstruct(rm, mode).groups == greedy_reconstruct(validated, mode).groups
+        assert got._beliefs is not None and one._beliefs is not None
+        assert all(rm._beliefs is None for rm in copies)
 
 
 @pytest.mark.filterwarnings("ignore:agents 3 and 7 share a position")
