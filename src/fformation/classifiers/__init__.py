@@ -10,7 +10,6 @@ predicted label is 1 exactly when the score is >= 0.5.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress
 from typing import Any, Optional, Sequence
 
 import numpy as np
@@ -142,29 +141,23 @@ def build_relation_matrix(
     Given a sequence of frames, returns one matrix per frame, and the
     pairs of all of them are scored in one ``predict_batch`` call.
 
-    The labels are scattered into a write-locked ``m`` without rerunning
-    the ``RelationMatrix`` constructor's checks, and each matrix carries
-    the belief rows as int bitmasks and its positive pairs, made from the
-    same labels, for ``greedy_reconstruct`` to read.
+    The labels are scattered into a write-locked ``m``, which is valid by
+    construction, so the ``RelationMatrix`` constructor's checks are not
+    rerun; ``greedy_reconstruct`` reads its belief rows from ``m``.
     """
     single = isinstance(frames, Frame)
     batch = [frames] if single else list(frames)
     poses, offsets, _, _, X = _pair_rows(batch)
     labels, _ = predict_batch(model, X)
     ids = [p.agent_id for p in poses]
-    is_positive = labels.tolist()
     matrices = []
     start = 0
     for f, frame in enumerate(batch):
         n = len(frame.agents)
-        rows = slice(offsets[f], offsets[f + 1])
         cells, eye = _cells(n)
         m = eye.copy()
-        m[cells] = labels[rows]
+        m[cells] = labels[offsets[f] : offsets[f + 1]]
         m.setflags(write=False)
-        # The frame's pairs (i, j) labeled 1, in row-major order.
-        pairs = tuple(compress(zip(*pair_indices(n).tolist()), is_positive[rows]))
-        matrices.append(RelationMatrix._of_positive_pairs(
-            tuple(ids[start : start + n]), m.reshape(n, n), pairs))
+        matrices.append(RelationMatrix._trusted(tuple(ids[start : start + n]), m.reshape(n, n)))
         start += n
     return matrices[0] if single else matrices

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
@@ -205,43 +206,38 @@ class RelationMatrix:
     (ascending). The underlying array is write-locked on construction,
     and pickled or copied matrices are built through the constructor too.
 
-    Greedy reconstruction reads each row as an int bitmask (bit k for row
-    index k) together with the positive pairs (i, j), i < j, in row-major
-    order. ``classifiers.build_relation_matrix`` attaches both, made from
-    the labels it scattered into ``m``, and skips the constructor's checks,
-    which its matrices pass by construction. A matrix built through the
-    constructor is validated, and its rows are read from ``m`` when the
-    greedy asks for them.
+    Greedy reconstruction reads the rows of ``m`` as int bitmasks, with
+    the positive pairs in row-major order (:meth:`_belief_rows`), whoever
+    built the matrix. A matrix built through the constructor is validated;
+    ``classifiers.build_relation_matrix`` skips those checks
+    (:meth:`_trusted`), since it makes ``m`` from the pair labels valid by
+    construction.
     """
 
     ids: tuple[int, ...]
     m: np.ndarray = field(repr=False)
-    # (rows, pairs) as the builder attached them; None for a validated matrix.
-    _beliefs: Optional[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]] = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @classmethod
-    def _of_positive_pairs(
-        cls, ids: tuple[int, ...], m: np.ndarray, pairs: tuple[tuple[int, int], ...]
-    ) -> "RelationMatrix":
-        """A matrix whose write-locked ``m`` its builder made symmetric,
-        unit-diagonal and 0/1, with ``pairs`` its positive pairs (i < j) in
-        row-major order. The constructor's checks are not rerun."""
+    def _trusted(cls, ids: tuple[int, ...], m: np.ndarray) -> "RelationMatrix":
+        """A matrix whose builder made ``m`` a write-locked, C-ordered
+        uint8 array, symmetric, unit-diagonal and 0/1. The constructor's
+        checks are not rerun."""
         matrix = object.__new__(cls)
         object.__setattr__(matrix, "ids", ids)
         object.__setattr__(matrix, "m", m)
-        object.__setattr__(matrix, "_beliefs", (_belief_masks(len(ids), pairs), pairs))
         return matrix
 
-    def _belief_rows(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
-        """Each row as an int bitmask, and the positive pairs (i < j) in
-        row-major order: those the builder attached, else read from ``m``."""
-        if self._beliefs is not None:
-            return self._beliefs
-        i, j = np.nonzero(np.triu(self.m, 1))
-        pairs = tuple(zip(i.tolist(), j.tolist()))
-        return _belief_masks(self.n, pairs), pairs
+    def _belief_rows(self) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+        """Each row as an int bitmask (bit k for row index k), and the
+        positive pairs (i, j), i < j, in row-major order."""
+        n = self.n
+        upper = _upper_cells(n)
+        pairs = [divmod(c, n) for c in upper[self.m.ravel()[upper].nonzero()[0]].tolist()]
+        rows = [1 << k for k in range(n)]
+        for i, j in pairs:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+        return tuple(rows), pairs
 
     def __post_init__(self) -> None:
         m = np.array(self.m, dtype=np.uint8, order="C")  # a copy the caller cannot reach
@@ -267,14 +263,15 @@ class RelationMatrix:
         return len(self.ids)
 
 
-def _belief_masks(n: int, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The n rows of a relation matrix as int bitmasks, from its positive
-    pairs and its unit diagonal."""
-    rows = [1 << k for k in range(n)]
-    for i, j in pairs:
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-    return tuple(rows)
+@lru_cache(maxsize=32)
+def _upper_cells(n: int) -> np.ndarray:
+    """The read-only positions, in an n x n matrix flattened row-major, of
+    the cells (i, j), i < j, in row-major order. The last 32 sizes asked
+    for are kept."""
+    i, j = np.triu_indices(n, 1)
+    cells = n * i + j
+    cells.setflags(write=False)
+    return cells
 
 
 def check_groups(groups: GroupSet, known_ids: Optional[set[int]] = None, where: str = "") -> None:

@@ -53,9 +53,9 @@ def greedy_reconstruct(matrix: RelationMatrix, mode: str = "intersection") -> Gr
     Belief rows and the remaining agents are int bitmasks, and only the
     positive pairs are scored: listed in row-major order, so the first
     maximum is the lexicographic one, and dropped once they touch an
-    emitted agent. A matrix from ``build_relation_matrix`` carries its rows
-    and positive pairs, made from the pair labels; for one a caller built
-    (and the constructor validated), they are read from ``m``.
+    emitted agent. Both are read from ``m`` for every matrix: one from
+    ``build_relation_matrix`` or one a caller built, which the constructor
+    validated.
     """
     _check_mode(mode)
     rows, pairs = matrix._belief_rows()

@@ -390,11 +390,14 @@ def test_relation_matrices_of_many_frames_equal_those_of_one_frame(models, kind)
         if len(frame.agents) < 30:
             ids, m = reference_relation_matrix(model, frame)
             assert got.ids == ids and np.array_equal(got.m, m)
-        # The belief rows and positive pairs made from the labels equal those
-        # read from the same matrix validated, and so do the groups; copies
-        # go through the constructor.
+        # The builder skips the constructor's checks, which its m passes;
+        # the matrix rebuilt through the constructor, and copies, which go
+        # through it too, give the same belief rows and groups.
+        assert got.m.flags.c_contiguous and one.m.flags.c_contiguous
         validated = RelationMatrix(got.ids, got.m)
-        assert validated._beliefs is None
+        rows, pairs = validated._belief_rows()
+        assert rows == tuple(sum(1 << k for k in np.flatnonzero(r).tolist()) for r in got.m)
+        assert pairs == [(i, j) for i, j in zip(*np.nonzero(got.m.tolist())) if i < j]
         copies = (pickle.loads(pickle.dumps(got)), copy.deepcopy(got), copy.copy(got),
                   dataclasses.replace(got))
         for rm in (got, one, validated, *copies):
@@ -402,11 +405,9 @@ def test_relation_matrices_of_many_frames_equal_those_of_one_frame(models, kind)
             assert not rm.m.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 rm.m[0:1, 0:1] = 1
-            assert rm._belief_rows() == validated._belief_rows()
+            assert rm._belief_rows() == (rows, pairs)
             for mode in ("intersection", "union"):
                 assert greedy_reconstruct(rm, mode).groups == greedy_reconstruct(validated, mode).groups
-        assert got._beliefs is not None and one._beliefs is not None
-        assert all(rm._beliefs is None for rm in copies)
 
 
 @pytest.mark.filterwarnings("ignore:agents 3 and 7 share a position")
