@@ -9,13 +9,12 @@ predicted label is 1 exactly when the score is >= 0.5.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..core import Frame, PairSample, PairTable, RelationMatrix
-from ..features import _pair_rows, pair_indices
+from ..core import Frame, PairSample, PairTable, RelationMatrix, _upper_cells
+from ..features import _pair_rows
 from .base import (
     DEFAULT_HYPERPARAMS,
     KIND_ALIASES,
@@ -117,19 +116,6 @@ def pairwise_accuracy(model: TrainedModel, pairs: PairTable | Sequence[PairSampl
     return float((labels == table.y).mean())
 
 
-@lru_cache(maxsize=32)
-def _cells(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """For an n x n matrix flattened row-major, the read-only positions of
-    the pairs (i, j) and (j, i) of ``pair_indices(n)``, and the read-only
-    identity. The last 32 sizes asked for are kept."""
-    ij = pair_indices(n)
-    cells = n * ij + ij[::-1]
-    eye = np.eye(n, dtype=np.uint8).ravel()
-    cells.setflags(write=False)
-    eye.setflags(write=False)
-    return cells, eye
-
-
 def build_relation_matrix(
     model: TrainedModel, frames: Frame | Sequence[Frame]
 ) -> RelationMatrix | list[RelationMatrix]:
@@ -154,10 +140,14 @@ def build_relation_matrix(
     start = 0
     for f, frame in enumerate(batch):
         n = len(frame.agents)
-        cells, eye = _cells(n)
-        m = eye.copy()
-        m[cells] = labels[offsets[f] : offsets[f + 1]]
+        # The labels go to the upper triangle, in the row-major order of
+        # pair_indices, and are mirrored; numpy buffers the overlapping m.T.
+        m = np.zeros((n, n), dtype=np.uint8)
+        flat = m.ravel()
+        flat[_upper_cells(n)] = labels[offsets[f] : offsets[f + 1]]
+        m |= m.T
+        flat[:: n + 1] = 1
         m.setflags(write=False)
-        matrices.append(RelationMatrix._trusted(tuple(ids[start : start + n]), m.reshape(n, n)))
+        matrices.append(RelationMatrix._trusted(tuple(ids[start : start + n]), m))
         start += n
     return matrices[0] if single else matrices

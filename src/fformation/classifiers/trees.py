@@ -24,10 +24,18 @@ rows are a prefix of it; only the other feature's order is partitioned,
 into a workspace buffer (``compress`` still lists the kept positions
 internally).
 
-Scoring walks every tree at once. ``ForestParams`` fuses the trees into
-one set of node arrays in which each leaf loops back to itself, so a
-(trees x rows) matrix of nodes takes the same number of steps, the
-forest's depth, and then rests on every row's leaf in every tree.
+Scoring looks leaves up in a table. A forest on two features is a step
+function: within a tree, the leaf a row reaches depends only on which of
+the tree's feature-0 thresholds the row lies between, and which of its
+feature-1 thresholds. ``ForestParams`` fills one table of every tree's
+leaf values by these cells, so scoring a row takes two ``searchsorted``
+calls into the forest's thresholds and one gather per tree, whatever
+the depth. The table is filled by the fused walk: the trees as one set
+of node arrays in which each leaf loops back to itself, so rows started
+at any roots take the same number of steps, the forest's depth, and
+then rest on their leaves. A forest whose table would break a fixed
+cell budget, such as a long chain alternating between the features,
+scores by that walk instead, with the same bits.
 """
 
 from __future__ import annotations
@@ -41,6 +49,12 @@ from .base import _check, _floats, _ints, _known
 # Cells of the (trees x rows) node matrix scored at once: the matrix and
 # its temporaries stay near 1 MB whatever the batch size.
 _BLOCK_CELLS = 32768
+
+# The cell budget (see ForestParams): a forest gets a lookup table only if
+# the table and its maps hold at most _CELLS_PER_NODE cells a node, and
+# filling the table walks at most _STEPS_PER_NODE cells a node.
+_CELLS_PER_NODE = 64
+_STEPS_PER_NODE = 4096
 
 
 @dataclass(frozen=True)
@@ -56,7 +70,7 @@ class TreeArrays:
 
 @dataclass(frozen=True)
 class ForestParams:
-    """The trees, and one fused form of all of them built for scoring.
+    """The trees, one fused form of all of them, and their lookup table.
 
     The fused arrays hold every tree's nodes end to end, tree t from node
     ``roots[t]``. From ``node`` a row goes to ``child[2 * node + go_left]``.
@@ -64,6 +78,28 @@ class ForestParams:
     leaf itself, so after ``depth`` steps, the longest root-to-leaf path of
     the forest, every row rests on its leaf. Children must follow their
     node, as loaded documents are checked to ensure.
+
+    ``grid[f]`` holds the sorted unique split thresholds of feature f over
+    the forest. Splits test ``x <= threshold``, so a row's cell
+    c = ``grid[f].searchsorted(x, side="left")``, the number of thresholds
+    below x, decides every feature-f split: x goes left at ``grid[f][j]``
+    exactly when j >= c. NaN, which goes right at every split, and values
+    above every threshold take the last cell. Tree t's own
+    thresholds cut the plane into fewer cells, and ``table`` holds the
+    leaf value of each, tree after tree; ``cell[0][t, c0] + cell[1][t, c1]``
+    is the position of the tree cell holding grid cell (c0, c1). The
+    table is filled by walking one representative point per tree cell
+    from the tree's root: the cell's upper threshold, or NaN for the cell
+    above every threshold. Each lookup thus gives the leaf the walk gives.
+
+    Model documents are untrusted, and a tree's table grows with the
+    product of its two threshold counts. So before allocating anything,
+    the table and maps are sized from those counts. If they exceed
+    ``_CELLS_PER_NODE`` cells a node of the forest, or filling the table
+    would walk more than ``_STEPS_PER_NODE`` cells a node (cells times
+    depth), or a threshold is NaN, ``grid``, ``cell`` and ``table`` are
+    None and ``scores`` walks the fused arrays. The table is derived
+    here, like the fused arrays, and never saved.
     """
 
     trees: tuple[TreeArrays, ...]
@@ -73,6 +109,9 @@ class ForestParams:
     child: np.ndarray = field(init=False, repr=False)  # (2 * nodes,) right, left
     value: np.ndarray = field(init=False, repr=False)  # (nodes,)
     depth: int = field(init=False, repr=False)
+    grid: tuple | None = field(init=False, repr=False)  # features' unique thresholds
+    cell: tuple | None = field(init=False, repr=False)  # (n_trees, len(grid[f]) + 1) each
+    table: np.ndarray | None = field(init=False, repr=False)  # every tree's leaves by cell
 
     def __post_init__(self) -> None:
         if not self.trees:
@@ -103,6 +142,57 @@ class ForestParams:
         set_(self, "child", child)
         set_(self, "value", joined("value"))
         set_(self, "depth", max(level))
+        for name, value in zip(("grid", "cell", "table"), _lookup(self)):
+            set_(self, name, value)
+
+
+def _lookup(params: ForestParams) -> tuple:
+    """``(grid, cell, table)`` of a forest whose other fields are set, or
+    three Nones when a threshold is NaN or the table breaks the cell budget."""
+    # Each tree's sorted unique thresholds of features 0 and 1. Its table
+    # has a row per feature-0 cell and a column per feature-1 cell.
+    own = [[np.unique(t.threshold[t.feature == f]) for f in (0, 1)] for t in params.trees]
+    grid = tuple(np.unique(np.concatenate([o[f] for o in own])) for f in (0, 1))
+    width = np.array([o[1].shape[0] + 1 for o in own])
+    size = np.array([o[0].shape[0] + 1 for o in own]) * width
+    n_cells, n_nodes = int(size.sum()), params.value.shape[0]
+    n_maps = len(own) * (grid[0].shape[0] + grid[1].shape[0] + 2)
+    if (
+        np.isnan(params.threshold).any()
+        or n_cells + n_maps > _CELLS_PER_NODE * n_nodes
+        or n_cells * params.depth > _STEPS_PER_NODE * n_nodes
+    ):
+        return None, None, None
+    # Each cell's representative: its upper threshold, or NaN, which goes
+    # right at every split, for the cell above every threshold.
+    rep = [[np.append(o[f], np.nan) for f in (0, 1)] for o in own]
+    upper = [np.append(g, np.nan) for g in grid]
+    # A grid cell's representative lies in the tree cell it maps to.
+    start = np.cumsum(size) - size
+    cell = (
+        np.stack([s + w * o[0].searchsorted(upper[0]) for s, w, o in zip(start, width, own)]),
+        np.stack([o[1].searchsorted(upper[1]) for o in own]),
+    )
+    X = np.concatenate(
+        [np.column_stack([np.repeat(r0, r1.shape[0]), np.tile(r1, r0.shape[0])]) for r0, r1 in rep]
+    )
+    root = np.repeat(params.roots, size)
+    table = np.empty(n_cells, dtype=np.float64)
+    for i in range(0, n_cells, _BLOCK_CELLS):
+        block = slice(i, i + _BLOCK_CELLS)
+        table[block] = params.value[_walk(params, X[block], root[block])]
+    return grid, cell, table
+
+
+def _walk(params: ForestParams, X: np.ndarray, node: np.ndarray) -> np.ndarray:
+    """The leaves that the rows of ``X`` reach from the nodes ``node``,
+    whose last axis runs over the rows: ``params.depth`` steps of the fused
+    arrays, the same for every row."""
+    rows = np.arange(X.shape[0])
+    for _ in range(params.depth):
+        go_left = X[rows, params.feature[node]] <= params.threshold[node]
+        node = params.child[2 * node + go_left]
+    return node
 
 
 class _Workspace:
@@ -305,6 +395,9 @@ def fit(Xs: np.ndarray, y: np.ndarray, hyperparams: dict, seed: int) -> ForestPa
         else:
             counts = np.ones(n, dtype=np.intp)
         trees.append(_grow(cols, y, counts, order, max_depth, min_leaf, ws))
+    # The lookup table is built once growth's arrays are freed, so its
+    # temporaries do not add to the fit's peak memory.
+    del cols, order, ws
     return ForestParams(trees=tuple(trees))
 
 
@@ -351,8 +444,9 @@ def scores(params: ForestParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarra
     """Mean leaf positive-class fraction across the ensemble; no
     hyperparameter acts on scoring.
 
-    Leaf values are summed in tree order from +0.0, then divided by the
-    tree count.
+    Each row's leaves come from the lookup table, or from the fused walk
+    for a forest without one. Leaf values are summed in tree order from
+    +0.0, then divided by the tree count.
     """
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
     n_trees = params.roots.shape[0]
@@ -360,13 +454,17 @@ def scores(params: ForestParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarra
     out = np.empty(Xs.shape[0], dtype=np.float64)
     for start in range(0, Xs.shape[0], block):
         X = Xs[start : start + block]
-        rows = np.arange(X.shape[0])
-        node = np.repeat(params.roots[:, None], X.shape[0], axis=1)
-        for _ in range(params.depth):
-            go_left = X[rows, params.feature[node]] <= params.threshold[node]
-            node = params.child[2 * node + go_left]
+        if params.table is None:
+            node = np.repeat(params.roots[:, None], X.shape[0], axis=1)
+            values = params.value[_walk(params, X, node)]
+        else:
+            # searchsorted's default side, "left", counts the thresholds
+            # below each value.
+            (grid0, grid1), (cell0, cell1) = params.grid, params.cell
+            cells = cell0[:, grid0.searchsorted(X[:, 0])] + cell1[:, grid1.searchsorted(X[:, 1])]
+            values = params.table[cells]
         # cumsum adds one tree at a time, in order. Adding +0.0 gives the
         # sum from +0.0: it turns a sum of -0.0 leaves into +0.0.
-        total = np.cumsum(params.value[node], axis=0)[-1] + 0.0
+        total = np.cumsum(values, axis=0)[-1] + 0.0
         out[start : start + block] = total / n_trees
     return out

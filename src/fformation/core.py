@@ -198,13 +198,16 @@ class PairTable:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RelationMatrix:
     """n x n symmetric binary matrix of pairwise same-group predictions.
 
     Diagonal entries are all 1. ``ids`` lists the agent ids in row order
     (ascending). The underlying array is write-locked on construction,
     and pickled or copied matrices are built through the constructor too.
+
+    Two matrices are equal when their ids are and their ``m`` have the same
+    shape and bytes, and equal matrices hash alike.
 
     Greedy reconstruction reads the rows of ``m`` as int bitmasks, with
     the positive pairs in row-major order (:meth:`_belief_rows`), whoever
@@ -257,6 +260,18 @@ class RelationMatrix:
 
     def __reduce__(self):
         return (RelationMatrix, (self.ids, self.m))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RelationMatrix):
+            return NotImplemented
+        return (
+            tuple(self.ids) == tuple(other.ids)
+            and self.m.shape == other.m.shape
+            and self.m.tobytes() == other.m.tobytes()
+        )
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.ids), self.m.tobytes()))
 
     @property
     def n(self) -> int:

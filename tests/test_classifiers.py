@@ -1139,9 +1139,45 @@ def reference_forest_scores(params, Xs):
     return total / len(params.trees)
 
 
+def same_bits(a, b):
+    """Equal float64 arrays, -0.0 told from +0.0 and NaN equal to itself."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def walking_forest(params):
+    """The same trees with no lookup table: a cell budget of 0 a node."""
+    saved = trees_mod._CELLS_PER_NODE
+    trees_mod._CELLS_PER_NODE = 0
+    try:
+        forest = trees_mod.ForestParams(trees=params.trees)
+    finally:
+        trees_mod._CELLS_PER_NODE = saved
+    assert forest.table is None
+    return forest
+
+
 def assert_fused_matches_reference(params, queries):
-    got = trees_mod.scores(params, {}, queries)
-    assert np.array_equal(got, reference_forest_scores(params, queries))
+    """The scores of ``params``, by its table if it has one, and by the
+    fused walk, have the reference's bits."""
+    want = reference_forest_scores(params, queries)
+    assert same_bits(trees_mod.scores(params, {}, queries), want)
+    assert same_bits(trees_mod.scores(walking_forest(params), {}, queries), want)
+
+
+def table_cells(trees):
+    """The cells the budget counts: each tree's table, (its distinct
+    feature-0 thresholds + 1) x (its distinct feature-1 thresholds + 1),
+    and a map per tree and feature over the forest's distinct thresholds."""
+    own = [[set(t.threshold[t.feature == f].tolist()) for f in (0, 1)] for t in trees]
+    grid = [set().union(*(o[f] for o in own)) for f in (0, 1)]
+    return sum((len(a) + 1) * (len(b) + 1) for a, b in own) + len(trees) * (len(grid[0]) + len(grid[1]) + 2)
+
+
+# Rows on the edges of IEEE arithmetic: signed zeros, infinities, NaN in
+# either feature, and magnitudes far beyond any threshold.
+_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300]
+SPECIAL_ROWS = np.array([[a, b] for a in _EDGES for b in _EDGES] + [[a, 0.5] for a in _EDGES])
 
 
 def _tree(feature, threshold, left, right, value):
@@ -1165,7 +1201,9 @@ def test_fused_forest_matches_reference_on_synthetic_corpus(corpus_frames):
     samples = [s for f in frames for s in pairwise_deconstruct(f)]
     assert len(samples) >= 60_000
     model = train(samples, kind="trees", seed=0)
-    held_out = _pair_features(generate_synthetic(SynthConfig(n_frames=100, seed=8)).frames)
+    assert model.params.table is not None
+    # The evaluation frames of the benchmark's corpus workload at its seed 1.
+    held_out = _pair_features(generate_synthetic(SynthConfig(n_frames=500, seed=2)).frames)
     training = _pair_features(frames)
     for X in (held_out, training):
         assert_fused_matches_reference(model.params, model.scaling.apply(X))
@@ -1199,6 +1237,7 @@ def test_fused_forest_matches_reference_far_outside_the_training_box():
         [[1e6, -1e6], [-1e6, 1e6], [1e300, 1e300], [-1e300, -1e300], [0.0, 1e300], [-1e300, 0.0]]
     )
     queries = np.concatenate([far, np.random.default_rng(15).normal(size=(50, 2)) * 100.0])
+    assert model.params.table is not None
     assert_fused_matches_reference(model.params, queries)
 
 
@@ -1223,8 +1262,9 @@ def test_fused_forest_matches_reference_on_hand_built_trees():
     ]
     for trees, depth in forests:
         params = trees_mod.ForestParams(trees=trees)
-        assert params.depth == depth
+        assert params.depth == depth and params.table is not None
         assert_fused_matches_reference(params, grid)
+        assert_fused_matches_reference(params, np.concatenate([grid, SPECIAL_ROWS]))
     assert trees_mod.scores(trees_mod.ForestParams(trees=(leaf_root,)), {}, grid).tolist() == [0.25] * len(grid)
     # Values whose sum depends on the order of the additions, one row at a
     # time as well as in a batch.
@@ -1242,12 +1282,12 @@ def test_fused_forest_sums_negative_zero_leaves_from_positive_zero():
     # array_equal takes -0.0 for 0.0, so the bits are compared.
     neg = _tree([-1], [0.0], [-1], [-1], [-0.0])
     stump = _tree([0, -1, -1], [0.0, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, -0.0, 0.75])
-    rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
+    rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-0.0, -0.0]])
     for trees in ((neg,), (neg, neg, neg), (neg, stump), (stump, neg, neg)):
         params = trees_mod.ForestParams(trees=trees)
         got = trees_mod.scores(params, {}, rows)
-        want = reference_forest_scores(params, rows)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), trees
+        assert_fused_matches_reference(params, rows)
+        assert_fused_matches_reference(params, SPECIAL_ROWS)
     assert not np.signbit(got).any()
 
 
@@ -1271,8 +1311,173 @@ def test_fused_forest_survives_the_model_document():
     clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     queries = np.random.default_rng(17).normal(size=(2000, 2)) * 2.0
     assert_fused_matches_reference(clone.params, queries)
-    assert np.array_equal(trees_mod.scores(clone.params, {}, queries), trees_mod.scores(model.params, {}, queries))
+    assert same_bits(trees_mod.scores(clone.params, {}, queries), trees_mod.scores(model.params, {}, queries))
     assert clone.params.depth == model.params.depth
+    # The document holds no table; loading derives the same one.
+    assert "table" not in json.dumps(model_to_dict(model))
+    assert model.params.table is not None
+    assert same_bits(clone.params.table, model.params.table)
+    for got, want in zip(clone.params.grid, model.params.grid):
+        assert same_bits(got, want)
+    for got, want in zip(clone.params.cell, model.params.cell):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _around(values):
+    """Each value and its nearest floats below and above."""
+    values = np.asarray(sorted(set(values)), dtype=np.float64)
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+def _threshold_rows(params):
+    """Every pair of a feature-0 and a feature-1 value among the forest's
+    thresholds, their float neighbours and the IEEE edge values."""
+    per_feature = [
+        np.concatenate([_around(np.concatenate([t.threshold[t.feature == f] for t in params.trees])), _EDGES])
+        for f in (0, 1)
+    ]
+    x0, x1 = np.meshgrid(*per_feature, indexing="ij")
+    return np.column_stack([x0.ravel(), x1.ravel()])
+
+
+def test_forest_table_matches_reference_at_every_threshold_and_its_neighbours():
+    rng = random.Random(19)
+    noisy = make_samples(
+        [(d, e, int(d + rng.gauss(0, 1) < 2.5)) for d, e in
+         ((rng.uniform(0, 5), rng.uniform(0, 6)) for _ in range(300))]
+    )
+    model = train(noisy, kind="trees", seed=3, hyperparams={"n_trees": 4})
+    deep = train(noisy, kind="trees", seed=5, hyperparams={"n_trees": 3, "max_depth": None, "min_leaf": 1})
+    for params in (model.params, deep.params):
+        assert params.table is not None
+        rows = _threshold_rows(params)
+        assert len(rows) > 1000
+        assert_fused_matches_reference(params, rows)
+        # One row at a time, as per-frame calls score.
+        for row in rows[:: max(1, len(rows) // 200)]:
+            assert same_bits(trees_mod.scores(params, {}, row), reference_forest_scores(params, row))
+
+
+def test_forest_table_with_infinite_and_signed_zero_thresholds():
+    # Hand-built forests may hold thresholds no document can: +-inf. NaN
+    # then differs from +inf (only NaN goes right at x <= +inf), so the
+    # cell above every threshold is walked with NaN.
+    at_inf = _tree([0, -1, 1, -1, -1], [np.inf, 0.0, -np.inf, 0.0, 0.0],
+                   [1, -1, 3, -1, -1], [2, -1, 4, -1, -1], [0.5, 0.25, 0.5, 0.75, 1.0])
+    zeros = _tree([1, 0, -1, -1, -1], [-0.0, 0.0, 0.0, 0.0, 0.0],
+                  [1, 2, -1, -1, -1], [4, 3, -1, -1, -1], [0.5, 0.5, 0.125, 0.375, 0.625])
+    for trees in ((at_inf,), (zeros,), (at_inf, zeros), (zeros, at_inf, zeros)):
+        params = trees_mod.ForestParams(trees=trees)
+        assert params.table is not None
+        assert_fused_matches_reference(params, _threshold_rows(params))
+    got = trees_mod.scores(trees_mod.ForestParams(trees=(at_inf,)), {}, [[np.inf, 0.0], [np.nan, 0.0]])
+    assert got.tolist() == [0.25, 1.0]
+
+
+def test_forest_with_a_nan_threshold_walks():
+    # x <= NaN is false for every x, which no cell of a sorted grid says.
+    nan_stump = _tree([0, -1, -1], [np.nan, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, 1.0, 0.0])
+    params = trees_mod.ForestParams(trees=(nan_stump,))
+    assert params.table is None and params.grid is None and params.cell is None
+    assert_fused_matches_reference(params, SPECIAL_ROWS)
+    assert trees_mod.scores(params, {}, SPECIAL_ROWS).tolist() == [0.0] * len(SPECIAL_ROWS)
+
+
+def _level_tree(depth, feature_of_level, thresholds):
+    """A full binary tree of ``depth`` split levels in breadth-first order;
+    level l splits on ``feature_of_level(l)``, node k of a feature taking
+    ``thresholds[feature][k % len]``."""
+    n = 2 ** (depth + 1) - 1
+    feature = [-1] * n
+    threshold = [0.0] * n
+    seen = [0, 0]
+    for node in range(2 ** depth - 1):
+        f = feature_of_level(int(np.log2(node + 1)))
+        feature[node] = f
+        threshold[node] = thresholds[f][seen[f] % len(thresholds[f])]
+        seen[f] += 1
+    left = [2 * k + 1 if feature[k] >= 0 else -1 for k in range(n)]
+    right = [2 * k + 2 if feature[k] >= 0 else -1 for k in range(n)]
+    value = np.random.default_rng(depth).random(n).tolist()
+    return _tree(feature, threshold, left, right, value)
+
+
+def test_forest_just_over_the_cell_budget_walks_and_matches():
+    # Ten split levels, 2047 nodes: eight levels on feature 0 with 255
+    # distinct thresholds, two on feature 1 with u distinct thresholds.
+    # One more distinct feature-1 threshold takes the table over budget.
+    # The table holds 256 (u + 1) cells and the maps 256 + u + 1.
+    budget = trees_mod._CELLS_PER_NODE * (2 ** 11 - 1)
+    f0 = np.linspace(-3.0, 3.0, 255).tolist()
+
+    def forest(u):
+        f1 = np.linspace(-4.0, 4.0, u).tolist()
+        tree = _level_tree(10, lambda level: 0 if level < 8 else 1, (f0, f1))
+        return trees_mod.ForestParams(trees=(tree,))
+
+    u = next(u for u in range(1, 769) if 257 * (u + 2) - 1 > budget)
+    under, over = forest(u - 1), forest(u)
+    assert table_cells(under.trees) <= budget < table_cells(over.trees)
+    assert under.table is not None and over.table is None and over.grid is None
+    rows = np.concatenate([np.random.default_rng(21).normal(size=(3000, 2)) * 3.0, SPECIAL_ROWS])
+    assert_fused_matches_reference(under, rows)
+    assert_fused_matches_reference(over, rows)
+    assert same_bits(trees_mod.scores(over, {}, rows), reference_forest_scores(over, rows))
+
+
+def _chain_document(splits, feature_of_split):
+    """A trees model document of one tree: a chain of ``splits`` splits,
+    each with a leaf on the left and the next split on the right."""
+    n = 2 * splits + 1
+    feature, threshold, left, right, value = [], [], [], [], []
+    for k in range(splits):
+        feature += [feature_of_split(k), -1]
+        threshold += [float(k % 97) - 48.0 + k / splits, 0.0]
+        left += [2 * k + 1, -1]
+        right += [2 * k + 2, -1]
+        value += [0.5, (k % 7) / 7.0]
+    feature.append(-1)
+    threshold.append(0.0)
+    left.append(-1)
+    right.append(-1)
+    value.append(1.0)
+    assert len(feature) == n
+    model = train(separable_samples(40, seed=22), kind="trees", seed=0, hyperparams={"n_trees": 1})
+    doc = json.loads(json.dumps(model_to_dict(model)))
+    doc["params"]["trees"] = [
+        {"feature": feature, "threshold": threshold, "left": left, "right": right, "value": value}
+    ]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "splits, feature_of_split",
+    [(2000, lambda k: k % 2), (10000, lambda k: 0)],
+    ids=["alternating", "one-feature"],
+)
+def test_forest_chain_document_loads_without_a_table(splits, feature_of_split):
+    # An alternating chain's table would hold about splits**2 / 4 cells (1M,
+    # 8 MB); a long chain on one feature fits the cells but would take
+    # splits**2 steps to fill. Both load without a table, in memory linear
+    # in the nodes, and score by the walk.
+    import time
+    import tracemalloc
+
+    doc = _chain_document(splits, feature_of_split)
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        model = model_from_dict(doc)
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.params.table is None and model.params.depth == splits
+    assert peak < 400 * (2 * splits + 1), peak
+    assert seconds < 30.0, seconds
+    rows = np.concatenate([np.random.default_rng(23).normal(size=(200, 2)) * 40.0, SPECIAL_ROWS])
+    got = trees_mod.scores(model.params, {}, rows)
+    assert same_bits(got, reference_forest_scores(model.params, rows))
 
 
 # ---------------------------------------------------------------- logreg

@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from fformation import features as features_mod
-from fformation.classifiers import _cells as _relation_cells
-from fformation.core import AgentPose, Frame, GroupSet, PairSample, ValidationError
+from fformation.core import AgentPose, Frame, GroupSet, PairSample, ValidationError, _upper_cells
 from fformation.features import distance, effort_angle, pair_features, pairwise_deconstruct
 from fformation.synthetic import SynthConfig, generate_synthetic
 
@@ -393,10 +392,11 @@ def test_pair_features_cached_indices_are_read_only():
     # The caller's arrays are copies, which it may change.
     i[0] = 5
     assert features_mod.pair_indices(6)[0, 0] == 0
-    cells, eye = _relation_cells(6)
-    for a in (cells, eye):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 1
+    # The relation matrix's cells (i, j), i < j, follow the same order.
+    cells = _upper_cells(6)
+    assert cells.tolist() == (6 * cached[0] + cached[1]).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        cells[0] = 1
 
 
 def test_pair_features_transient_memory_does_not_grow_with_the_batch():

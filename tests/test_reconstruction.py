@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from fformation import classifiers as classifiers_mod
+from fformation import core as core_mod
 from fformation import features as features_mod
 from fformation.core import AgentPose, Frame, GroupSet, RelationMatrix, ValidationError
 from fformation.classifiers import build_relation_matrix, predict_batch, train
@@ -411,6 +411,33 @@ def test_relation_matrices_of_many_frames_equal_those_of_one_frame(models, kind)
 
 
 @pytest.mark.filterwarnings("ignore:agents 3 and 7 share a position")
+def test_relation_matrices_compare_and_hash_by_ids_and_cells(models):
+    assert RelationMatrix((1, 2), np.eye(2)) == RelationMatrix((1, 2), np.eye(2))
+    assert hash(RelationMatrix((1, 2), np.eye(2))) == hash(RelationMatrix((1, 2), np.eye(2)))
+    for frame in mixed_frames():
+        built = build_relation_matrix(models["logreg"], frame)
+        rebuilt = RelationMatrix(built.ids, np.array(built.m, dtype=np.int64))
+        copies = (rebuilt, pickle.loads(pickle.dumps(built)), copy.deepcopy(built),
+                  copy.copy(built), dataclasses.replace(built))
+        for rm in copies:
+            assert rm == built and built == rm and not rm != built
+            assert hash(rm) == hash(built)
+        assert len({built, *copies}) == 1
+        assert built != (built.ids, built.m) and built != "matrix"
+        if built.n >= 2:
+            flipped = built.m.copy()
+            flipped[0, 1] = flipped[1, 0] = 1 - flipped[0, 1]
+            assert built != RelationMatrix(built.ids, flipped)
+            ids = (*built.ids[:-1], built.ids[-1] + 1000)
+            assert built != RelationMatrix(ids, built.m)
+    # Equal ids and bytes, different shape: no such matrices pass the
+    # constructor, so the shape is compared on trusted ones.
+    flat = np.ones((1, 4), dtype=np.uint8)
+    square = np.ones((2, 2), dtype=np.uint8)
+    assert RelationMatrix._trusted((1, 2), flat) != RelationMatrix._trusted((1, 2), square)
+
+
+@pytest.mark.filterwarnings("ignore:agents 3 and 7 share a position")
 @pytest.mark.parametrize("mode", ["intersection", "union"])
 @pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
 def test_detect_on_many_frames_equals_detect_on_each(models, kind, mode):
@@ -446,7 +473,7 @@ def test_detect_from_four_threads_equals_serial_detect(models, kind):
     frames = mixed_frames()
     serial = [detect(model, f).groups for f in frames]
     features_mod.pair_indices.cache_clear()
-    classifiers_mod._cells.cache_clear()
+    core_mod._upper_cells.cache_clear()
     start = threading.Barrier(4, timeout=60)
 
     def work(t):
