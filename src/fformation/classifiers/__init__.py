@@ -13,7 +13,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..core import Frame, PairSample, PairTable, RelationMatrix, _upper_cells
+from ..core import COUNT, Frame, PairSample, PairTable, RelationMatrix, _upper_cells, rule_problem
 from ..features import _pair_rows
 from .base import (
     DEFAULT_HYPERPARAMS,
@@ -63,18 +63,19 @@ def train(
 ) -> TrainedModel:
     """Fit a classifier of the given kind on labeled pairs: a PairTable
     (see :func:`features.pairwise_deconstruct`) or a sequence of
-    PairSamples; the same pairs in either form give equal models.
+    PairSamples; the same pairs in either form give the same model document.
 
     Features are z-score standardized with statistics from the training
     set; the statistics are stored in the returned model and reapplied
-    at prediction time. Training is deterministic for a fixed seed, which
-    must be an integer >= 0 (Python or numpy, not a bool).
+    at prediction time. Training is deterministic for a fixed seed, an
+    integer >= 0 (Python or numpy, not a bool). A bad seed or hyperparameter
+    value, an integer too large for a float too, raises TrainingError.
     """
     kind = canonical_kind(kind)
     hp = resolve_hyperparams(kind, hyperparams)
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise TrainingError(f"seed must be an integer >= 0, got {seed!r}")
-    seed = int(seed)
+    seed = int(seed) if isinstance(seed, np.integer) else seed
+    if problem := rule_problem("seed", seed, COUNT):
+        raise TrainingError(problem)
     X, y = samples_to_arrays(pairs)
     scaling = fit_scaling(X)
     params = REGISTRY[kind].fit(scaling.apply(X), y, hp, seed)

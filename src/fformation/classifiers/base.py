@@ -3,14 +3,14 @@ and the checks every part of a model document goes through on load."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..core import PairSample, PairTable, is_integer, is_number
+from ..core import (AT_LEAST_ONE, COUNT, NON_NEGATIVE, POSITIVE, PairSample, PairTable, Rule,
+                    rule_problem)
 
 
 class TrainingError(ValueError):
@@ -44,21 +44,17 @@ def canonical_kind(kind: str) -> str:
     return kind
 
 
-_AT_LEAST_ONE = (lambda v: is_integer(v) and v >= 1, "an integer >= 1")
-_NON_NEGATIVE = (lambda v: is_number(v) and math.isfinite(v) and v >= 0, "a finite number >= 0")
-
-# The values each hyperparameter accepts, as (test, description); the
-# names are unique across kinds.
-_HYPERPARAM_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "k": _AT_LEAST_ONE,
-    "n_trees": _AT_LEAST_ONE,
-    "max_depth": (lambda v: v is None or (is_integer(v) and v >= 1), "None or an integer >= 1"),
-    "min_leaf": _AT_LEAST_ONE,
-    "l2": _NON_NEGATIVE,
-    "epochs": (lambda v: is_integer(v) and v >= 0, "an integer >= 0"),
-    "tol": _NON_NEGATIVE,
+# The rule each hyperparameter keeps; the names are unique across kinds.
+_HYPERPARAM_RULES: dict[str, Rule] = {
+    "k": AT_LEAST_ONE,
+    "n_trees": AT_LEAST_ONE,
+    "max_depth": (lambda v: v is None or AT_LEAST_ONE[0](v), "None or an integer >= 1"),
+    "min_leaf": AT_LEAST_ONE,
+    "l2": NON_NEGATIVE,
+    "epochs": COUNT,
+    "tol": NON_NEGATIVE,
     "bootstrap": (lambda v: isinstance(v, bool), "true or false"),
-    "learning_rate": (lambda v: is_number(v) and math.isfinite(v) and v > 0, "a finite number > 0"),
+    "learning_rate": POSITIVE,
 }
 
 # Names a kind no longer takes. Model files written before may carry them;
@@ -72,9 +68,8 @@ def hyperparams_problem(kind: str, hyperparams: dict[str, Any]) -> Optional[str]
     for key, value in hyperparams.items():
         if key not in DEFAULT_HYPERPARAMS[kind] and key not in RETIRED_HYPERPARAMS.get(kind, ()):
             return f"unknown hyperparameter {key!r} for kind {kind!r}"
-        test, accepted = _HYPERPARAM_RULES[key]
-        if not test(value):
-            return f"hyperparameter {key} must be {accepted}, got {value!r}"
+        if problem := rule_problem(f"hyperparameter {key}", value, _HYPERPARAM_RULES[key]):
+            return problem
     return None
 
 
@@ -82,15 +77,14 @@ def resolve_hyperparams(kind: str, overrides: Optional[dict[str, Any]]) -> dict[
     """The kind's defaults updated by ``overrides``.
 
     Raises ValueError for a name the kind does not have, and TrainingError
-    for a value outside the range the name accepts.
+    for a value that breaks the name's rule.
     """
     params = dict(DEFAULT_HYPERPARAMS[kind])
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"unknown hyperparameter {key!r} for kind {kind!r}")
         params[key] = value
-    problem = hyperparams_problem(kind, params)
-    if problem is not None:
+    if problem := hyperparams_problem(kind, params):
         raise TrainingError(problem)
     return params
 
@@ -128,7 +122,7 @@ def _ints(values, what: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureScaling:
     """Per-feature z-score parameters learned from the training set."""
 
@@ -139,7 +133,7 @@ class FeatureScaling:
         return (np.asarray(X, dtype=np.float64) - self.mean) / self.std
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainedModel:
     """A trained pairwise classifier.
 
@@ -147,7 +141,8 @@ class TrainedModel:
     standardized training set, bagged trees their node arrays, logistic
     regression its three coefficients). Prediction is a pure function of
     (params, scaling, input); models are immutable and safe to share
-    across threads.
+    across threads. A model, its scaling and its params hold arrays, so
+    they compare and hash by identity: compare models by ``model_to_dict``.
     """
 
     kind: str

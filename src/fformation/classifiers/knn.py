@@ -72,7 +72,7 @@ def _box_side(ext: list, n: int, per_cell: float) -> float:
     return max(max(ext) * per_cell / n, math.sqrt(ext[0]) * math.sqrt(ext[1] * per_cell / n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KnnParams:
     """Training set plus the grid index built from it.
 

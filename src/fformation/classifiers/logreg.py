@@ -24,7 +24,7 @@ from .base import _check, _floats, _known
 _MAX_HALVINGS = 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticParams:
     coef: np.ndarray  # (3,) [bias, w_distance, w_effort_angle]
 

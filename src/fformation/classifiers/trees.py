@@ -57,7 +57,7 @@ _CELLS_PER_NODE = 64
 _STEPS_PER_NODE = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TreeArrays:
     """One tree as parallel node arrays; feature == -1 marks a leaf."""
 
@@ -68,7 +68,7 @@ class TreeArrays:
     value: np.ndarray  # float64 positive-class fraction at the node
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForestParams:
     """The trees, one fused form of all of them, and their lookup table.
 

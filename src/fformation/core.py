@@ -1,4 +1,4 @@
-"""Core domain types shared by every other module.
+"""Core domain types, value rules and the pair order shared by every other module.
 
 All types are immutable after construction and safe to share between
 concurrent workers. Angles are radians, counterclockwise-positive, with 0
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -30,6 +30,25 @@ def is_number(value: Any) -> bool:
     """Whether ``value`` is a Python int or float, and not a bool; it may
     be infinite or NaN."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Value rules, as (test, description), of hyperparameters, training seeds
+# and generator configs. A test overflows on an integer too large for a float.
+Rule = tuple[Callable[[Any], bool], str]
+AT_LEAST_ONE = (lambda v: is_integer(v) and v >= 1, "an integer >= 1")
+COUNT = (lambda v: is_integer(v) and v >= 0, "an integer >= 0")
+NON_NEGATIVE = (lambda v: is_number(v) and math.isfinite(v) and v >= 0, "a finite number >= 0")
+POSITIVE = (lambda v: is_number(v) and math.isfinite(v) and v > 0, "a finite number > 0")
+
+
+def rule_problem(name: str, value: Any, rule: Rule) -> Optional[str]:
+    """Why ``value`` breaks ``rule``: ``<name> must be <description>, got
+    <value>``, or ``<name>: <message>`` for an overflow. None if it keeps it."""
+    test, accepted = rule
+    try:
+        return None if test(value) else f"{name} must be {accepted}, got {value!r}"
+    except OverflowError as exc:
+        return f"{name}: {exc}"
 
 
 def normalize_angle(theta: float) -> float:
@@ -156,14 +175,14 @@ class PairSample:
     label: Optional[int] = None
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PairTable:
     """Labeled pairs as arrays: row r is one unordered pair.
 
     ``X`` holds (distance, effort_angle) rows, ``y`` the labels and ``ids``
     the (id_a, id_b) rows with id_a < id_b. ``pairwise_deconstruct`` of a
     sequence of frames builds one; :meth:`from_samples` one of PairSamples.
-    Iterating gives the rows as PairSamples.
+    Iterating gives the rows as PairSamples. Tables compare by identity.
     """
 
     X: np.ndarray
@@ -279,11 +298,20 @@ class RelationMatrix:
 
 
 @lru_cache(maxsize=32)
+def pair_indices(n: int) -> np.ndarray:
+    """The pairs (i, j), i < j, of n agents in row-major order, the order of
+    every pair table and relation matrix, as a read-only (2, pairs) array.
+    The last 32 sizes asked for are kept."""
+    pairs = np.array(np.triu_indices(n, 1))
+    pairs.setflags(write=False)
+    return pairs
+
+
+@lru_cache(maxsize=32)
 def _upper_cells(n: int) -> np.ndarray:
     """The read-only positions, in an n x n matrix flattened row-major, of
-    the cells (i, j), i < j, in row-major order. The last 32 sizes asked
-    for are kept."""
-    i, j = np.triu_indices(n, 1)
+    the cells (i, j) of :func:`pair_indices`; kept for the last 32 sizes."""
+    i, j = pair_indices(n)
     cells = n * i + j
     cells.setflags(write=False)
     return cells

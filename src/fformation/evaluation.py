@@ -118,10 +118,7 @@ def _match_greedy(detected: list[frozenset], truth: list[frozenset], tol: Fracti
 
 def _match_exact(detected: list[frozenset], truth: list[frozenset], tol: Fraction) -> int:
     """Maximum one-to-one matching via augmenting paths; returns match count."""
-    ok = [
-        [bool(detected[d]) and group_match(detected[d], truth[t], tol) for d in range(len(detected))]
-        for t in range(len(truth))
-    ]
+    ok = [[group_match(d, t, tol) for d in detected] for t in truth]
     owner = [-1] * len(detected)
 
     def augment(t: int, seen: list[bool]) -> bool:

@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
 
-from .core import TWO_PI, AgentPose, Frame, PairSample, PairTable, ValidationError, validate_frame
+from .core import (TWO_PI, AgentPose, Frame, PairSample, PairTable, ValidationError, pair_indices,
+                   validate_frame)
 
 __all__ = ["distance", "effort_angle", "ordered_agents", "pair_features", "pair_indices",
            "pairwise_deconstruct"]
@@ -77,16 +77,6 @@ def effort_angle(a: AgentPose, b: AgentPose) -> float:
         )
         return 0.0
     return _turn_toward(a, b) + _turn_toward(b, a)
-
-
-@lru_cache(maxsize=32)
-def pair_indices(n: int) -> np.ndarray:
-    """The pairs of n agents in the order :func:`pair_features` gives them:
-    a read-only (2, pairs) array of rows ``i`` and ``j``, i < j, row-major.
-    The last 32 sizes asked for are kept."""
-    pairs = np.array(np.triu_indices(n, 1))
-    pairs.setflags(write=False)
-    return pairs
 
 
 def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -16,7 +16,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .core import AgentPose, Frame, GroupSet, is_integer, is_number
+from .core import (AT_LEAST_ONE, COUNT, NON_NEGATIVE, POSITIVE, AgentPose, Frame, GroupSet, Rule,
+                   is_integer, rule_problem)
 from .datasets import CanonicalDataset, DatasetFormatError, _integer
 from .jsonfile import read_json, write_json
 
@@ -30,39 +31,31 @@ class PlacementError(RuntimeError):
     """Could not place groups/distractors within the retry budget."""
 
 
-def _positive(value: Any) -> bool:
-    return is_number(value) and math.isfinite(value) and value > 0
-
-
 def _sizes(value: Any) -> bool:
     return (isinstance(value, dict) and bool(value) and all(map(is_integer, value))
-            and all(map(_positive, value.values())))
+            and all(map(POSITIVE[0], value.values())))
 
 
 def _pair(value: Any, test: Callable[[Any], bool]) -> bool:
     return isinstance(value, (tuple, list)) and len(value) == 2 and all(map(test, value))
 
 
-_NON_NEGATIVE = (lambda v: is_number(v) and math.isfinite(v) and v >= 0, "a finite number >= 0")
-_COUNT = (lambda v: is_integer(v) and v >= 0, "an integer >= 0")
-_AT_LEAST_ONE = (lambda v: is_integer(v) and v >= 1, "an integer >= 1")
-
-# The values each SynthConfig field accepts, as (test, description).
-_FIELD_RULES: dict[str, tuple[Callable[[Any], bool], str]] = {
-    "n_frames": _AT_LEAST_ONE,
+# The rule each SynthConfig field keeps.
+_FIELD_RULES: dict[str, Rule] = {
+    "n_frames": AT_LEAST_ONE,
     "group_size_distribution": (_sizes, "a nonempty map of group sizes to finite weights > 0"),
     "tightness_mean_per_size": (_sizes, "a nonempty map of group sizes to finite radii > 0"),
-    "radial_jitter": _NON_NEGATIVE,
-    "angular_jitter": _NON_NEGATIVE,
-    "heading_noise": _NON_NEGATIVE,
-    "n_distractors": _COUNT,
-    "area": (lambda v: _pair(v, _positive), "two finite extents > 0"),
-    "seed": _COUNT,
+    "radial_jitter": NON_NEGATIVE,
+    "angular_jitter": NON_NEGATIVE,
+    "heading_noise": NON_NEGATIVE,
+    "n_distractors": COUNT,
+    "area": (lambda v: _pair(v, POSITIVE[0]), "two finite extents > 0"),
+    "seed": COUNT,
     "groups_per_frame": (lambda v: _pair(v, is_integer) and 0 <= v[0] <= v[1],
                          "two integers (lo, hi) with 0 <= lo <= hi"),
-    "group_clearance": _NON_NEGATIVE,
-    "distractor_clearance": _NON_NEGATIVE,
-    "max_retries": _AT_LEAST_ONE,
+    "group_clearance": NON_NEGATIVE,
+    "distractor_clearance": NON_NEGATIVE,
+    "max_retries": AT_LEAST_ONE,
 }
 
 
@@ -85,13 +78,9 @@ class SynthConfig:
     max_retries: int = 100
 
     def __post_init__(self) -> None:
-        for name, (test, accepted) in _FIELD_RULES.items():
-            value = getattr(self, name)
-            try:
-                if not test(value):
-                    raise ValueError(f"{name} must be {accepted}, got {value!r}")
-            except OverflowError as exc:  # an integer too large for a float
-                raise ValueError(f"{name}: {exc}") from exc
+        for name, rule in _FIELD_RULES.items():
+            if problem := rule_problem(name, getattr(self, name), rule):
+                raise ValueError(problem)
         for size in self.group_size_distribution:
             if size < 2:
                 raise ValueError(f"group size {size} < 2")

@@ -184,6 +184,10 @@ def test_samples_to_arrays_rejects_labels_other_than_0_and_1():
         ("logreg", {"tol": math.nan}),
         ("logreg", {"epochs": -1}),
         ("trees", {"bootstrap": 1}),
+        ("logreg", {"epochs": 2.0}),
+        ("logreg", {"epochs": True}),
+        ("trees", {"max_depth": True}),
+        ("trees", {"n_trees": -int("9" * 401)}),
     ],
 )
 def test_train_rejects_out_of_range_hyperparameters(kind, hyperparams):
@@ -221,6 +225,98 @@ def test_train_accepts_hyperparameters_on_the_edge_of_their_range():
 def test_train_rejects_the_retired_learning_rate():
     with pytest.raises(ValueError, match="unknown hyperparameter 'learning_rate'"):
         train(separable_samples(40, seed=23), kind="logreg", hyperparams={"learning_rate": 0.1})
+
+
+@pytest.mark.parametrize("name", ["l2", "tol"])
+def test_train_names_a_hyperparameter_too_large_for_a_float(name):
+    with pytest.raises(TrainingError, match=f"^hyperparameter {name}: int too large"):
+        train(separable_samples(40, seed=23), kind="logreg", hyperparams={name: 10**400})
+
+
+def _error_after(name, check):
+    """What the ValueError ``check()`` raises says after ``name``, or None
+    when it raises nothing."""
+    try:
+        check()
+    except ValueError as exc:
+        assert str(exc).startswith(name)
+        return str(exc)[len(name):]
+    return None
+
+
+# The shared rules of core, each with a hyperparameter and a generator
+# config field that keep it.
+@pytest.mark.parametrize(
+    "kind, hyperparameter, field",
+    [
+        ("weighted_knn", "k", "n_frames"),
+        ("logistic_regression", "epochs", "n_distractors"),
+        ("logistic_regression", "l2", "radial_jitter"),
+    ],
+)
+@pytest.mark.parametrize(
+    "value", [True, math.nan, math.inf, -math.inf, -1, 1.5, pytest.param(int("9" * 401), id="401-digits")]
+)
+def test_hyperparameters_and_generator_configs_describe_a_bad_value_alike(
+    kind, hyperparameter, field, value
+):
+    by_hyperparams = _error_after(
+        f"hyperparameter {hyperparameter}", lambda: resolve_hyperparams(kind, {hyperparameter: value})
+    )
+    by_config = _error_after(field, lambda: SynthConfig(**{field: value}))
+    assert by_hyperparams == by_config
+    # The one value each rule takes: 1.5 for the number rule, and for the
+    # integer rules an integer too large for a float.
+    taken = 1.5 if field == "radial_jitter" else int("9" * 401)
+    assert (by_config is None) == (value == taken)
+
+
+@pytest.mark.parametrize("seed", [True, math.nan, math.inf, -1, 1.5, "7"])
+def test_train_and_generator_configs_describe_a_bad_seed_alike(seed):
+    with pytest.raises(TrainingError) as by_train:
+        train(separable_samples(40, seed=23), kind="logreg", seed=seed)
+    with pytest.raises(ValueError) as by_config:
+        SynthConfig(seed=seed)
+    assert str(by_train.value) == str(by_config.value)
+
+
+def _equal_but_distinct(part):
+    """Two equal but distinct instances of an array-holding type."""
+    if part == "table":
+        frames = generate_synthetic(SynthConfig(n_frames=3, seed=5)).frames
+        return pairwise_deconstruct(frames), pairwise_deconstruct(frames)
+    kind = {"scaling": "logreg", "model": "logreg", "tree": "trees"}.get(part, part)
+    samples = separable_samples(40, seed=23)
+    a, b = train(samples, kind=kind, seed=3), train(samples, kind=kind, seed=3)
+    assert model_to_dict(a) == model_to_dict(b)
+    if part == "model":
+        return a, b
+    if part == "scaling":
+        return a.scaling, b.scaling
+    if part == "tree":
+        return a.params.trees[0], b.params.trees[0]
+    return a.params, b.params
+
+
+@pytest.mark.parametrize(
+    "part, name",
+    [
+        ("model", "TrainedModel"),
+        ("scaling", "FeatureScaling"),
+        ("knn", "KnnParams"),
+        ("logreg", "LogisticParams"),
+        ("trees", "ForestParams"),
+        ("tree", "TreeArrays"),
+        ("table", "PairTable"),
+    ],
+)
+def test_array_holders_compare_and_hash_by_identity(part, name):
+    a, b = _equal_but_distinct(part)
+    assert type(a).__name__ == name and type(b) is type(a)
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and hash(b) == hash(b)
+    assert len({a, b, a}) == 2
 
 
 def test_fit_scaling_rejects_zero_variance():
@@ -2239,6 +2335,8 @@ HUGE = int("9" * 401)
         ("knn", ("params", "points", 2, 0)),
         ("trees", ("params", "trees", 0, "threshold", 0)),
         ("trees", ("params", "trees", 0, "value", -1)),
+        ("logreg", ("hyperparams", "l2")),
+        ("logreg", ("hyperparams", "tol")),
     ],
 )
 def test_load_model_rejects_a_number_too_large_for_a_float(tmp_path, kind, keys):

@@ -72,6 +72,11 @@ def test_synth_config_counts_must_be_integers(tmp_path, capsys, field, value):
         ('{"group_size_distribution": {"1_0": 1.0}}',
          "group_size_distribution: expected an integer, got '1_0'"),
         ('{"tightness_mean_per_size": {"2": NaN}}', "tightness_mean_per_size must be"),
+        pytest.param('{"radial_jitter": 1%s}' % ("0" * 400),
+                     "radial_jitter: int too large to convert to float", id="radial_jitter-401-digits"),
+        pytest.param('{"area": [1%s, 5]}' % ("0" * 400),
+                     "area: int too large to convert to float", id="area-401-digits"),
+        ('{"seed": 1.0}', "seed must be an integer >= 0, got 1.0"),
     ],
 )
 def test_synth_config_values_are_checked_per_field(tmp_path, capsys, text, message):
