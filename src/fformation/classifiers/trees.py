@@ -77,7 +77,8 @@ class ForestParams:
     A leaf is a self-loop: feature 0, threshold +inf and both children the
     leaf itself, so after ``depth`` steps, the longest root-to-leaf path of
     the forest, every row rests on its leaf. Children must follow their
-    node, as loaded documents are checked to ensure.
+    node, as loaded documents are checked to ensure, and each node but a
+    root must be the child of exactly one split, or ValueError is raised.
 
     ``grid[f]`` holds the sorted unique split thresholds of feature f over
     the forest. Splits test ``x <= threshold``, so a row's cell
@@ -129,8 +130,12 @@ class ForestParams:
         child = np.empty(2 * node.shape[0], dtype=np.intp)
         child[0::2] = np.where(leaf, node, joined("right") + offset)
         child[1::2] = np.where(leaf, node, joined("left") + offset)
-        # Children follow their node, so one pass in node order sees each
-        # node's level before its children's.
+        # Every node must be a root or the child of exactly one split.
+        parents = np.concatenate([roots, child[np.repeat(~leaf, 2)]])
+        if (np.bincount(parents, minlength=node.shape[0]) != 1).any():
+            raise ValueError("every tree node but the root must be the child of exactly one split")
+        # Children follow their node and have one parent, so one pass in
+        # node order sees each node's level before its children's.
         level = [0] * node.shape[0]
         for n, (right, left) in enumerate(zip(child[0::2].tolist(), child[1::2].tolist())):
             if left != n:
@@ -408,7 +413,8 @@ def to_params(params: ForestParams) -> dict:
 
 
 def _tree(raw: dict) -> TreeArrays:
-    """Node arrays whose every path reaches a leaf: children follow parents."""
+    """Node arrays whose every path reaches a leaf: children follow parents.
+    ``ForestParams`` checks that each node but the root has one parent."""
     feature = _ints(raw["feature"], "tree feature")
     left = _ints(raw["left"], "tree left")
     right = _ints(raw["right"], "tree right")

@@ -15,8 +15,6 @@ from typing import Optional, Sequence
 from .characterization import characterize_corpus, format_size_table
 from .classifiers import (
     KIND_ALIASES,
-    ModelFormatError,
-    TrainingError,
     load_model,
     pairwise_accuracy,
     save_model,
@@ -25,7 +23,6 @@ from .classifiers import (
 from .core import Frame, ValidationError
 from .datasets import (
     CanonicalDataset,
-    DatasetFormatError,
     load_babble,
     load_canonical,
     load_salsa,
@@ -210,15 +207,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        DatasetFormatError,
-        ModelFormatError,
-        TrainingError,
-        ValidationError,
-        PlacementError,
-        ValueError,
-        OSError,
-    ) as exc:
+    except (ValueError, PlacementError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

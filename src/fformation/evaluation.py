@@ -10,9 +10,10 @@ ceiling at small group sizes never falls victim to float rounding
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .core import GroupSet, PairSample, PairTable
 
@@ -28,38 +29,42 @@ ToleranceLike = Union[Fraction, float, int, str]
 def as_tolerance(value: ToleranceLike) -> Fraction:
     """Coerce a tolerance spelling to an exact Fraction in (0, 1].
 
-    Accepts Fractions, ints, "num/den" strings, decimal strings, and
-    floats; a bool raises TypeError, although it is an int.
-    Decimals are read at face value ("0.25" means 1/4, not the nearest
-    binary float); the spelling 0.6667 is treated as exactly 2/3.
+    Accepts Fractions, integers, "num/den" strings, decimal strings and
+    floats, numpy scalars among them; a bool raises TypeError, although
+    it is an int. A float is read as its shortest decimal text, and
+    decimals at face value ("0.25" means 1/4, not the nearest binary
+    float); the spelling 0.6667 is treated as exactly 2/3.
     """
     if isinstance(value, bool):
         raise TypeError(f"cannot interpret bool {value!r} as a tolerance")
-    if isinstance(value, Fraction):
-        tol = value
-    elif isinstance(value, int):
-        tol = Fraction(value)
-    elif isinstance(value, str):
-        text = value.strip()
-        if text == _DEFAULT_SPELLING:
-            tol = DEFAULT_TOLERANCE
-        else:
-            try:
-                tol = Fraction(text)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"invalid tolerance {value!r}") from exc
-    elif isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"invalid tolerance {value!r}")
-        if value == float(_DEFAULT_SPELLING):
-            tol = DEFAULT_TOLERANCE
-        else:
-            tol = Fraction(repr(value))
+    if isinstance(value, numbers.Rational):  # a Fraction or an integer
+        tol = Fraction(int(value.numerator), int(value.denominator))
+    elif isinstance(value, (str, numbers.Real)):
+        text = str(value).strip()
+        try:
+            tol = DEFAULT_TOLERANCE if text == _DEFAULT_SPELLING else Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"invalid tolerance {value!r}") from exc
     else:
         raise TypeError(f"cannot interpret {type(value).__name__} as a tolerance")
     if not 0 < tol <= 1:
         raise ValueError(f"tolerance must be in (0, 1], got {tol}")
     return tol
+
+
+def _matcher(truth: frozenset, tol: Fraction) -> Callable[[frozenset], bool]:
+    """The match rule against one truth group, its two bounds worked out
+    once: a detected group matches when it covers ceil(T*n) of the n
+    truth members and holds at most floor((1-T)*n) outsiders."""
+    n = len(truth)
+    needed = math.ceil(tol * n)
+    allowed_extra = math.floor((1 - tol) * n)
+
+    def matches(detected: frozenset) -> bool:
+        common = len(detected & truth)
+        return common >= needed and len(detected) - common <= allowed_extra
+
+    return matches
 
 
 def group_match(detected: set, truth: set, T: ToleranceLike = DEFAULT_TOLERANCE) -> bool:
@@ -70,13 +75,7 @@ def group_match(detected: set, truth: set, T: ToleranceLike = DEFAULT_TOLERANCE)
     """
     if not detected or not truth:
         raise ValueError("group_match requires nonempty groups")
-    tol = as_tolerance(T)
-    truth = frozenset(truth)
-    detected = frozenset(detected)
-    n = len(truth)
-    needed = math.ceil(tol * n)
-    allowed_extra = math.floor((1 - tol) * n)
-    return len(detected & truth) >= needed and len(detected - truth) <= allowed_extra
+    return _matcher(frozenset(truth), as_tolerance(T))(frozenset(detected))
 
 
 @dataclass(frozen=True)
@@ -102,39 +101,33 @@ def _real_groups(gs: GroupSet) -> list[frozenset]:
     return [g for g in gs.groups if len(g) >= 2]
 
 
-def _match_greedy(detected: list[frozenset], truth: list[frozenset], tol: Fraction) -> int:
-    """Largest-truth-first greedy one-to-one matching; returns match count."""
-    order = sorted(range(len(truth)), key=lambda t: (-len(truth[t]), t))
-    used = [False] * len(detected)
-    matched = 0
-    for t in order:
-        for d in range(len(detected)):
-            if not used[d] and group_match(detected[d], truth[t], tol):
-                used[d] = True
-                matched += 1
+def _match_greedy(detected: list[frozenset], rules: list[Callable]) -> int:
+    """Greedy one-to-one matching: each truth group's rule, in order, takes
+    the lowest-index free detected group it matches; returns match count."""
+    free = list(detected)
+    for matches in rules:
+        for i, group in enumerate(free):
+            if matches(group):
+                del free[i]
                 break
-    return matched
+    return len(detected) - len(free)
 
 
-def _match_exact(detected: list[frozenset], truth: list[frozenset], tol: Fraction) -> int:
+def _match_exact(detected: list[frozenset], rules: list[Callable]) -> int:
     """Maximum one-to-one matching via augmenting paths; returns match count."""
-    ok = [[group_match(d, t, tol) for d in detected] for t in truth]
-    owner = [-1] * len(detected)
+    table = [[d for d, group in enumerate(detected) if matches(group)] for matches in rules]
+    owner: dict[int, int] = {}
 
-    def augment(t: int, seen: list[bool]) -> bool:
-        for d in range(len(detected)):
-            if ok[t][d] and not seen[d]:
-                seen[d] = True
-                if owner[d] == -1 or augment(owner[d], seen):
+    def augment(t: int, seen: set) -> bool:
+        for d in table[t]:
+            if d not in seen:
+                seen.add(d)
+                if d not in owner or augment(owner[d], seen):
                     owner[d] = t
                     return True
         return False
 
-    matched = 0
-    for t in range(len(truth)):
-        if augment(t, [False] * len(detected)):
-            matched += 1
-    return matched
+    return sum(augment(t, set()) for t in range(len(table)))
 
 
 def evaluate(
@@ -152,6 +145,7 @@ def evaluate(
     """
     if matching not in ("greedy", "exact"):
         raise ValueError(f"unknown matching {matching!r}; expected 'greedy' or 'exact'")
+    match = _match_greedy if matching == "greedy" else _match_exact
     tol = as_tolerance(T)
     det_by_id = dict(detections)
     truth_by_id = dict(truths)
@@ -167,11 +161,9 @@ def evaluate(
     total_matched = total_detected = total_truth = 0
     for fid in sorted(det_by_id):
         det = _real_groups(det_by_id[fid])
-        tru = _real_groups(truth_by_id[fid])
-        if matching == "greedy":
-            matched = _match_greedy(det, tru, tol)
-        else:
-            matched = _match_exact(det, tru, tol)
+        # Largest truth group first; the sort is stable, so index order on ties.
+        tru = sorted(_real_groups(truth_by_id[fid]), key=len, reverse=True)
+        matched = match(det, [_matcher(t, tol) for t in tru])
         per_frame.append(FrameScore(fid, matched, len(det), len(tru)))
         total_matched += matched
         total_detected += len(det)

@@ -87,6 +87,11 @@ class SynthConfig:
             if size not in self.tightness_mean_per_size:
                 raise ValueError(f"no tightness mean for group size {size}")
 
+    def __hash__(self) -> int:
+        # Equal configs hash alike: the dict fields hash by their items.
+        values = (getattr(self, f.name) for f in fields(self))
+        return hash(tuple(frozenset(v.items()) if isinstance(v, dict) else v for v in values))
+
     def to_dict(self) -> dict[str, Any]:
         doc = {f.name: getattr(self, f.name) for f in fields(self)}
         for name, value in doc.items():

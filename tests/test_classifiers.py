@@ -1576,6 +1576,33 @@ def test_forest_chain_document_loads_without_a_table(splits, feature_of_split):
     assert same_bits(got, reference_forest_scores(model.params, rows))
 
 
+def test_trees_document_with_a_node_of_two_parents_is_rejected():
+    # 0 -> (1, 5), 1 -> (2, 3), 2 -> (4, 6), 5 -> (6, 7), 6 -> (8, 9): every
+    # child follows its node, but node 6 is the child of nodes 2 and 5. Read
+    # as a forest, the path 0, 1, 2, 6, 9 of the row (-0.5, -1.0) is one
+    # step longer than the depth the second parent gives node 6, so the
+    # walk and the table would stop at node 6 (0.5) short of leaf 9 (0.8).
+    doc = _chain_document(1, lambda k: 0)
+    doc["params"]["trees"] = [{
+        "feature": [0, 1, 0, -1, -1, 1, 1, -1, -1, -1],
+        "threshold": [0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -2.0, 0.0, 0.0, 0.0],
+        "left": [1, 2, 4, -1, -1, 6, 8, -1, -1, -1],
+        "right": [5, 3, 6, -1, -1, 7, 9, -1, -1, -1],
+        "value": [0.5, 0.5, 0.5, 0.1, 0.2, 0.5, 0.5, 0.3, 0.4, 0.8],
+    }]
+    with pytest.raises(ModelFormatError, match="exactly one split"):
+        model_from_dict(doc)
+    # The same tree with node 5's left child a leaf of its own loads, with
+    # its true depth, and scores the row as leaf 9.
+    tree = doc["params"]["trees"][0]
+    for name, value in zip(tree, (-1, 0.0, -1, -1, 0.6)):
+        tree[name].append(value)
+    tree["left"][5] = 10
+    model = model_from_dict(doc)
+    assert model.params.depth == 4
+    assert trees_mod.scores(model.params, {}, np.array([[-0.5, -1.0]])).tolist() == [0.8]
+
+
 # ---------------------------------------------------------------- logreg
 
 def test_logreg_gradient_matches_central_differences():
@@ -2089,9 +2116,9 @@ def _tree_document_mutations(trees, rng):
     """Edits (tree, field or None for the whole tree, node or None for the
     whole field, new value) of a model's tree documents, each with whether
     it keeps every prediction: non-finite and huge thresholds, children
-    rewired backwards, onto their node or out of range, truncated node
-    arrays, fields retyped to strings or lists, and a key added that
-    loading does not read."""
+    rewired backwards, forwards onto a node that already has a parent, onto
+    their node or out of range, truncated node arrays, fields retyped to
+    strings or lists, and a key added that loading does not read."""
     t = int(rng.integers(len(trees)))
     tree = trees[t]
     m = len(tree["feature"])
@@ -2103,8 +2130,10 @@ def _tree_document_mutations(trees, rng):
     for v in (math.nan, math.inf, -math.inf, 1e308, -1e308):
         cases += [((t, "threshold", leaf, v), True), ((t, "threshold", internal, v), False)]
     for name in ("left", "right"):
+        taken = [j for j in range(internal + 1, m) if j != tree[name][internal]]
         cases += [
             ((t, name, inner, int(rng.integers(inner))), False),
+            ((t, name, internal, int(rng.choice(taken))), False),
             ((t, name, internal, internal), False),
             ((t, name, internal, m + int(rng.integers(3))), False),
             ((t, name, internal, -2), False),

@@ -1,5 +1,6 @@
 """Synthetic corpus generation: determinism, construction, feasibility."""
 
+import dataclasses
 import math
 
 import pytest
@@ -137,6 +138,19 @@ def test_config_json_round_trip(tmp_path):
     path = tmp_path / "config.json"
     save_synth_config(config, path)
     assert load_synth_config(path) == config
+
+
+def test_equal_configs_hash_alike():
+    config = SynthConfig()
+    copy = dataclasses.replace(
+        config, group_size_distribution=dict(reversed(config.group_size_distribution.items()))
+    )
+    assert copy == config and copy.group_size_distribution is not config.group_size_distribution
+    assert hash(copy) == hash(config)
+    seen = {config: "default"}
+    assert seen[copy] == "default"
+    assert dataclasses.replace(config, seed=5) not in seen
+    assert len({config, copy, dataclasses.replace(copy), SynthConfig(n_frames=7)}) == 2
 
 
 def test_config_unknown_field_rejected(tmp_path):
