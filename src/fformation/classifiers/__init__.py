@@ -85,14 +85,23 @@ def train(
 def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
     """(labels, scores) for an (n, 2) array of [distance, effort_angle] rows.
 
-    Raises ValueError when the standardized inputs or the scores are not
-    finite: a finite input far beyond a tiny ``std`` can still overflow, and
-    so can the logit of huge logreg coefficients. Such overflows raise no
-    numpy warning: the finiteness checks decide.
+    A single row may also come as a pair, and an empty batch as an empty
+    list; any other shape raises ValueError. Raises ValueError when the
+    standardized inputs or the scores are not finite: a finite input far
+    beyond a tiny ``std`` can still overflow, and so can the logit of huge
+    logreg coefficients. Such overflows raise no numpy warning: the
+    finiteness checks decide.
     """
     with np.errstate(all="ignore"):
         X = np.asarray(X, dtype=np.float64)  # standardizing copies it
-        Xs = model.scaling.apply(X if X.ndim > 1 else X.reshape(1, -1))
+        if X.ndim != 2 or X.shape[1] != 2:
+            if X.shape not in ((2,), (0,)):
+                raise ValueError(
+                    "prediction inputs must have shape (n, 2), rows of [distance, effort_angle],"
+                    f" got shape {X.shape}"
+                )
+            X = X.reshape(-1, 2)
+        Xs = model.scaling.apply(X)
         if not np.isfinite(Xs).all():
             raise ValueError("prediction inputs must be finite, also once standardized")
         scores = REGISTRY[model.kind].scores(model.params, model.hyperparams, Xs)

@@ -17,7 +17,10 @@ cell, among half-widths 0, 1, 2, 3, 4, 6, 9, ..., that holds about 4k
 points, so it holds at least k. The k-th smallest squared distance in the
 window bounds the true one; when the padded radius of that bound stays
 inside the window, every point that brute force could select is in it,
-and the row is scored from the window.
+and the row is scored from the window: the window's points within the
+bound, k of them unless some tie at the k-th distance, are sorted within
+the row by (distance, label), and its first k vote. Rows with such ties
+are padded to the widest with keys that sort last.
 Otherwise the row goes round again with the square its bound reaches,
 which certifies it, so no row takes more than two rounds. The squared
 distances are computed by the same float operations as a vote over all
@@ -270,18 +273,27 @@ def _round(
     r = np.sqrt(kth) * (1.0 + _RADIUS_REL_PAD) + _RADIUS_ABS_PAD
     reach = params._cells(q + r[:, None] * _CORNERS)
     done = ((reach[0] >= lo) & (reach[1] <= hi)).all(axis=1)
-    # Only the points within the bound can be selected: sort those by
-    # (distance, label, index) and take the first k of each row.
+    # Only the points within the bound can be selected, at least k a row and
+    # grouped by row: sort each row by (distance, label) and take its first
+    # k. A squared distance is +0.0 to inf, so its bits order as unsigned
+    # integers do, and with the label, 0 or 1, as the lowest bit one key
+    # orders both. The index needs no key: points equal in distance and
+    # label cast equal votes.
     keep = np.flatnonzero(d2 <= np.repeat(np.where(done, kth, -1.0), count))
-    rows = np.repeat(np.arange(m), count)[keep]
-    idx, d2 = idx[keep], d2[keep]
-    labels = params.labels[idx]
-    first = np.lexsort((idx, labels, d2, rows))
-    if keep.size > k * np.count_nonzero(done):  # ties at the k-th distance
-        held = np.bincount(rows, minlength=m)[done]
-        first = first[_ranges(np.cumsum(held) - held, np.full(held.size, k))]
-    d2 = d2[first].reshape(-1, k)
-    y = labels[first].reshape(-1, k).astype(np.float64)
+    key = (d2[keep].view(np.uint64) << 1) | params.labels[idx[keep]]
+    rows = np.count_nonzero(done)
+    if key.size == k * rows:
+        key = key.reshape(rows, k)
+    else:  # ties at the k-th distance: pad the rows with keys that sort last
+        held = np.bincount(np.repeat(np.arange(m), count)[keep], minlength=m)[done]
+        full = np.arange(held.max()) < held[:, None]
+        block = np.full(full.shape, np.iinfo(np.uint64).max, dtype=np.uint64)
+        block[full] = key
+        key = block
+    key.sort(axis=1)
+    key = key[:, :k]
+    d2 = (key >> 1).view(np.float64)
+    y = (key & 1).astype(np.float64)
     exact = d2[:, 0] == 0.0
     if not exact.any():
         w = 1.0 / d2

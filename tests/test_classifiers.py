@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 import sys
 import threading
 import warnings
@@ -663,15 +664,34 @@ def test_knn_first_window_on_a_cluster_far_denser_than_the_mean():
 @pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
 def test_predict_batch_takes_an_empty_batch_and_a_single_row(kind):
     model = train(separable_samples(60, seed=3), kind=kind, seed=0)
-    labels, scores = predict_batch(model, np.empty((0, 2)))
-    assert labels.shape == scores.shape == (0,)
-    labels, scores = predict_batch(model, [[1.5, 0.7]])
-    assert scores.shape == (1,)
-    assert (int(labels[0]), float(scores[0])) == predict(model, 1.5, 0.7)
+    for empty in (np.empty((0, 2)), [], np.empty(0)):
+        labels, scores = predict_batch(model, empty)
+        assert labels.shape == scores.shape == (0,)
+        assert labels.dtype == np.uint8 and scores.dtype == np.float64
+    for row in ([[1.5, 0.7]], [1.5, 0.7]):
+        labels, scores = predict_batch(model, row)
+        assert scores.shape == (1,)
+        assert (int(labels[0]), float(scores[0])) == predict(model, 1.5, 0.7)
     if kind == "knn":
         for rows in (np.empty((0, 2)), model.scaling.apply([[1.5, 0.7]])):
             got = knn_mod.scores(model.params, {"k": 10}, rows)
             assert np.array_equal(got, brute_force_knn_scores(model.params, 10, rows))
+
+
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_predict_batch_rejects_rows_without_two_columns(kind):
+    model = train(separable_samples(60, seed=3), kind=kind, seed=0)
+    for rows, shape in (
+        ([[1.0, 2.0, 3.0]], "(1, 3)"),
+        ([[1.0], [2.0]], "(2, 1)"),
+        ([[]], "(1, 0)"),
+        (np.empty((0, 3)), "(0, 3)"),
+        ([1.0, 2.0, 3.0], "(3,)"),
+        (np.zeros((2, 2, 2)), "(2, 2, 2)"),
+        (1.5, "()"),
+    ):
+        with pytest.raises(ValueError, match=rf"\[distance, effort_angle\], got shape {re.escape(shape)}$"):
+            predict_batch(model, rows)
 
 
 def test_knn_rows_resolving_in_different_rounds_match_brute_force(monkeypatch):
@@ -753,6 +773,71 @@ def test_knn_ties_at_the_kth_distance_straddling_the_first_window():
             assert_grid_matches_brute_force(pts, labels, [q], ks=ks)
             straddled += 1
     assert straddled >= 8
+
+
+def kth_ties(pts, queries, k):
+    """For each query, whether its k-th and (k + 1)-th nearest training
+    points lie at one squared distance, and whether two of its k nearest do."""
+    at_kth, inside = [], []
+    for start in range(0, len(queries), 256):
+        q = queries[start : start + 256]
+        d2 = (q[:, 0:1] - pts[None, :, 0]) ** 2 + (q[:, 1:2] - pts[None, :, 1]) ** 2
+        d2.sort(axis=1)
+        at_kth.append(d2[:, k - 1] == d2[:, k])
+        inside.append((np.diff(d2[:, :k], axis=1) == 0.0).any(axis=1))
+    return np.concatenate(at_kth), np.concatenate(inside)
+
+
+def test_knn_frame_of_lattice_queries_among_duplicate_lattice_points_matches_brute_force():
+    # Lattice points in one to three copies with mixed labels, and lattice
+    # queries: in a call of one frame's size, rows tie inside their k, and
+    # some at the k-th distance, so the call's rows are padded to the widest.
+    rng = np.random.default_rng(30)
+    side = np.arange(-6, 7, dtype=np.float64)
+    lattice = np.array([(x, y) for x in side for y in side])
+    pts = np.repeat(lattice, rng.integers(1, 4, size=len(lattice)), axis=0)
+    labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
+    queries = rng.integers(-7, 8, size=(28, 2)).astype(np.float64)
+    for k in (1, 3, 10):
+        at_kth, inside = kth_ties(pts, queries, k)
+        assert at_kth.any() and not at_kth.all(), k
+        assert k == 1 or inside.any(), k
+    assert_grid_matches_brute_force(pts, labels, queries)
+
+
+def test_knn_call_of_chunks_with_and_without_kth_ties_matches_brute_force(monkeypatch):
+    # Queries on or beside piles of lattice copies tie at the k-th distance,
+    # and their first windows hold the piles, so they are the widest; queries
+    # among spread distinct points tie nowhere. Chunks take rows by window
+    # count, so one call scores blocks of exactly k points a row and padded
+    # blocks.
+    rng = np.random.default_rng(31)
+    piles = np.array([(x, y) for x in range(100, 104) for y in range(100, 104)], dtype=np.float64)
+    pts = np.concatenate([rng.uniform(0.0, 40.0, size=(2000, 2)), np.repeat(piles, 300, axis=0)])
+    labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
+    queries = np.concatenate([
+        rng.uniform(2.0, 38.0, size=(2000, 2)),
+        rng.integers(99, 105, size=(200, 2)).astype(np.float64),
+    ])
+    queries = queries[rng.permutation(len(queries))]
+    params = knn_mod.fit(pts, labels, {}, 0)
+    real_round = knn_mod._round
+    tied, calls = {}, []
+
+    def recording_round(params, k, q, lo, hi, count):
+        score, done, reach = real_round(params, k, q, lo, hi, count)
+        if done.any():
+            calls.append(any(tied[row] for row in map(tuple, q[done])))
+        return score, done, reach
+
+    monkeypatch.setattr(knn_mod, "_round", recording_round)
+    for k in (1, 3, 10):
+        tied.clear()
+        tied.update(zip(map(tuple, queries), kth_ties(pts, queries, k)[0].tolist()))
+        calls.clear()
+        got = knn_mod.scores(params, {"k": k}, queries)
+        assert np.array_equal(got, brute_force_knn_scores(params, k, queries)), k
+        assert any(calls) and not all(calls), (k, calls)
 
 
 def test_knn_conflicting_duplicates_score_the_mean_of_their_labels():
