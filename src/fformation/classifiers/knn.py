@@ -3,7 +3,8 @@
 Votes are weighted by inverse squared Euclidean distance in standardized
 feature space. Exact feature matches (distance 0) dominate the vote.
 Ties in neighbor selection at the k-th position are broken toward label 0,
-then toward the lower training index, so prediction is deterministic.
+so prediction is deterministic; which of the points equal in distance and
+label is taken does not matter, as they cast equal votes.
 
 The search is exact and goes through a uniform grid over the training
 points. Its cells are sized for where the points are: the side that gives
@@ -17,10 +18,9 @@ cell, among half-widths 0, 1, 2, 3, 4, 6, 9, ..., that holds about 4k
 points, so it holds at least k. The k-th smallest squared distance in the
 window bounds the true one; when the padded radius of that bound stays
 inside the window, every point that brute force could select is in it,
-and the row is scored from the window: the window's points within the
-bound, k of them unless some tie at the k-th distance, are sorted within
-the row by (distance, label), and its first k vote. Rows with such ties
-are padded to the widest with keys that sort last.
+and the row is scored from the window: each window point has one key
+that orders (distance, label), and the row's k smallest keys, sorted
+within the row, vote.
 Otherwise the row goes round again with the square its bound reaches,
 which certifies it, so no row takes more than two rounds. The squared
 distances are computed by the same float operations as a vote over all
@@ -53,7 +53,7 @@ _FIRST_WINDOW = 4
 _RADIUS_REL_PAD = 1e-9
 _RADIUS_ABS_PAD = 1e-150
 
-# Float64 values one chunk of rows may fill (1 MB), so memory does not grow
+# 8-byte values one chunk of rows may fill (1 MB), so memory does not grow
 # with the call; see _chunks.
 _CHUNK_ELEMENTS = 1 << 17
 
@@ -222,11 +222,12 @@ def from_params(raw: dict, hyperparams: dict) -> KnnParams:
 
 
 def _chunks(count: np.ndarray) -> list:
-    """Sets of rows that each fill at most ``_CHUNK_ELEMENTS`` float64
+    """Sets of rows that each fill at most ``_CHUNK_ELEMENTS`` 8-byte
     values, or a single set of every row if it fits.
 
     Rows whose windows hold ``count`` points take about four flat arrays
-    of that many values and a (rows x widest window) matrix. A row too
+    of that many values (indices, squared distances and keys) and a
+    (rows x widest window) matrix of keys. A row too
     wide for the budget makes a chunk of its own.
     """
     if 4 * int(count.sum()) + count.size * int(count.max()) <= _CHUNK_ELEMENTS:
@@ -262,49 +263,30 @@ def _round(
     idx = params.order[_ranges(*params._columns(lo, hi))]
     pts = params.points
     d2 = (np.repeat(q[:, 0], count) - pts[:, 0][idx]) ** 2 + (np.repeat(q[:, 1], count) - pts[:, 1][idx]) ** 2
-    # The k-th squared distance of each row, with its window padded by inf.
+    # One key a window point, in rows padded with keys that sort last. A
+    # squared distance is +0.0 to inf, so its bits order as unsigned
+    # integers do, and with the label, 0 or 1, as the lowest bit one key
+    # orders (distance, label); inf's key stays below the padding. The index
+    # needs no key: points equal in distance and label cast equal votes.
     width = int(count.max())
-    padded = np.full((m, width), np.inf)
-    padded[np.arange(width) < count[:, None]] = d2
-    padded.partition(k - 1, axis=1)
-    kth = padded[:, k - 1]
+    key = np.full((m, width), np.iinfo(np.uint64).max, dtype=np.uint64)
+    key[np.arange(width) < count[:, None]] = (d2.view(np.uint64) << 1) | params.labels[idx]
+    key.partition(k - 1, axis=1)
+    kth = (key[:, k - 1] >> 1).view(np.float64)
     # Every point within the bound lies in the cells that meet the square
     # of half-width r around the query.
     r = np.sqrt(kth) * (1.0 + _RADIUS_REL_PAD) + _RADIUS_ABS_PAD
     reach = params._cells(q + r[:, None] * _CORNERS)
     done = ((reach[0] >= lo) & (reach[1] <= hi)).all(axis=1)
-    # Only the points within the bound can be selected, at least k a row and
-    # grouped by row: sort each row by (distance, label) and take its first
-    # k. A squared distance is +0.0 to inf, so its bits order as unsigned
-    # integers do, and with the label, 0 or 1, as the lowest bit one key
-    # orders both. The index needs no key: points equal in distance and
-    # label cast equal votes.
-    keep = np.flatnonzero(d2 <= np.repeat(np.where(done, kth, -1.0), count))
-    key = (d2[keep].view(np.uint64) << 1) | params.labels[idx[keep]]
-    rows = np.count_nonzero(done)
-    if key.size == k * rows:
-        key = key.reshape(rows, k)
-    else:  # ties at the k-th distance: pad the rows with keys that sort last
-        held = np.bincount(np.repeat(np.arange(m), count)[keep], minlength=m)[done]
-        full = np.arange(held.max()) < held[:, None]
-        block = np.full(full.shape, np.iinfo(np.uint64).max, dtype=np.uint64)
-        block[full] = key
-        key = block
+    key = key[done, :k]
     key.sort(axis=1)
-    key = key[:, :k]
     d2 = (key >> 1).view(np.float64)
     y = (key & 1).astype(np.float64)
-    exact = d2[:, 0] == 0.0
-    if not exact.any():
-        w = 1.0 / d2
-        return (w * y).sum(axis=1) / w.sum(axis=1), done, reach
-    score = np.empty(d2.shape[0], dtype=np.float64)
-    w = 1.0 / d2[~exact]
-    score[~exact] = (w * y[~exact]).sum(axis=1) / w.sum(axis=1)
-    # Exact matches outvote the rest: the mean label of the exact matches.
-    hit = d2[exact] == 0.0
-    score[exact] = (y[exact] * hit).sum(axis=1) / hit.sum(axis=1)
-    return score, done, reach
+    # Exact matches outvote the rest: a row with one votes the mean label
+    # of its exact matches.
+    exact = d2[:, :1] == 0.0
+    w = 1.0 / np.where(exact, np.where(d2 == 0.0, 1.0, np.inf), d2)
+    return (w * y).sum(axis=1) / w.sum(axis=1), done, reach
 
 
 def scores(params: KnnParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarray:

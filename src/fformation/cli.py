@@ -81,12 +81,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
     dataset = _load(args.data, args.format)
     started = time.perf_counter()
     groups = detect(model, dataset.frames, mode=args.mode)
-    detected = [
+    detected = tuple(
         Frame(frame_id=f.frame_id, agents=f.agents, timestamp=f.timestamp, truth=g)
         for f, g in zip(dataset.frames, groups)
-    ]
+    )
     elapsed = time.perf_counter() - started
-    save_canonical(CanonicalDataset.from_frames(detected), args.out)
+    # The loader validated and sorted the frames, and detect's groups
+    # partition each frame's agents, so the detections need no second check.
+    save_canonical(CanonicalDataset(schema_version=dataset.schema_version, frames=detected), args.out)
     fps = len(detected) / elapsed if elapsed > 0 else float("inf")
     print(f"{len(detected)} frames in {elapsed:.2f}s ({fps:.1f} frames/s)", file=sys.stderr)
     return 0

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from itertools import accumulate, chain, repeat
 from operator import attrgetter
 from typing import Sequence
@@ -87,7 +88,8 @@ def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.n
     row-major order. ``X`` holds [distance, effort_angle] rows equal bit
     for bit to :func:`distance` and :func:`effort_angle`, coincident
     agents included (effort 0 and one RuntimeWarning per pair). Raises
-    ValidationError, naming the frame, for an invalid frame.
+    ValidationError, naming the frame, for an invalid frame, and naming its
+    two agents too for a pair whose distance overflows.
     """
     _, offsets, ij, _, X = _pair_rows(frames)
     i, j = np.array(ij)  # the caller's to change, not the cache's
@@ -126,7 +128,8 @@ def _pair_rows(
         # of b and of a. The offsets are taken both ways, not negated:
         # atan2 tells +0 from -0.
         at = pose[block]
-        dx, dy = (at[::-1] - at).reshape(-1, 3).T[:2].tolist()
+        with np.errstate(over="ignore"):  # reported below, as a distance
+            dx, dy = (at[::-1] - at).reshape(-1, 3).T[:2].tolist()
         # The turns of a toward b and of b toward a. atan2 and hypot are
         # math's, per element: numpy's own can differ from them in the last
         # ulp. :func:`_wrap_pi` without its fmod and its lower branch, which
@@ -138,6 +141,14 @@ def _pair_rows(
         np.abs(turn, out=turn)
         out = X[rows]
         out[:, 0] = dist = np.fromiter(map(math.hypot, dx, dy), np.float64, len(out))
+        if dist.max() == math.inf:  # never NaN, as the positions are finite
+            k = int(dist.argmax())
+            a, b = block[:, k].tolist()
+            frame = frames[bisect_right(offsets, start + k) - 1]
+            raise ValidationError(
+                f"frame {frame.frame_id}: agents {poses[a].agent_id} and {poses[b].agent_id} "
+                f"are too far apart for their distance to be a finite float"
+            )
         np.add(turn[0], turn[1], out=out[:, 1])
         if np.count_nonzero(dist) < len(dist):  # zero exactly when both offsets are
             for k in np.flatnonzero(dist == 0.0).tolist():

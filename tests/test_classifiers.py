@@ -809,8 +809,8 @@ def test_knn_call_of_chunks_with_and_without_kth_ties_matches_brute_force(monkey
     # Queries on or beside piles of lattice copies tie at the k-th distance,
     # and their first windows hold the piles, so they are the widest; queries
     # among spread distinct points tie nowhere. Chunks take rows by window
-    # count, so one call scores blocks of exactly k points a row and padded
-    # blocks.
+    # count, so one call scores chunks whose rows tie at the k-th distance
+    # and chunks whose rows do not.
     rng = np.random.default_rng(31)
     piles = np.array([(x, y) for x in range(100, 104) for y in range(100, 104)], dtype=np.float64)
     pts = np.concatenate([rng.uniform(0.0, 40.0, size=(2000, 2)), np.repeat(piles, 300, axis=0)])
@@ -863,6 +863,39 @@ def test_knn_scores_non_finite_rows_as_nan():
     got = knn_mod.scores(params, {"k": 10}, rows)
     assert np.isnan(got[1:3]).all()
     assert np.array_equal(got[[0, 3]], brute_force_knn_scores(params, 10, rows[[0, 3]]))
+
+
+def test_knn_rows_of_infinite_distances_beside_padded_windows(monkeypatch):
+    # Queries near 1e200 have every squared distance overflow to inf, whose
+    # keys must still sort below the padding of their windows: they score
+    # NaN, and the rows they share a call with score as brute force does and
+    # as they do alone.
+    rng = np.random.default_rng(32)
+    pts = np.concatenate([rng.uniform(0.0, 1.0, size=(500, 2)), np.full((100, 2), 0.5)])
+    labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
+    far = np.array([[1e200, 0.0], [0.0, -1e200], [1e200, 1e200]])
+    queries = np.concatenate([rng.uniform(0.0, 1.0, size=(40, 2)), np.full((3, 2), 0.5), far])
+    queries = queries[rng.permutation(len(queries))]
+    is_far = np.abs(queries).max(axis=1) > 1.0
+    params = knn_mod.fit(pts, labels, {}, 0)
+    real_round = knn_mod._round
+    padded = []
+
+    def recording_round(params, k, q, lo, hi, count):
+        at = np.abs(q).max(axis=1) > 1.0
+        padded.append(at.any() and not at.all() and (count[at] < count.max()).any())
+        return real_round(params, k, q, lo, hi, count)
+
+    monkeypatch.setattr(knn_mod, "_round", recording_round)
+    for k in (1, 3, 10):
+        padded.clear()
+        with np.errstate(all="ignore"):
+            got = knn_mod.scores(params, {"k": k}, queries)
+            alone = knn_mod.scores(params, {"k": k}, queries[~is_far])
+        assert any(padded), k
+        assert np.isnan(got[is_far]).all(), k
+        assert np.array_equal(got[~is_far], brute_force_knn_scores(params, k, queries[~is_far])), k
+        assert np.array_equal(got[~is_far], alone), k
 
 
 def test_knn_self_accuracy_is_below_one_with_conflicting_duplicates():

@@ -1,12 +1,15 @@
 """End-to-end command-line workflows on temporary files."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from fformation import datasets as datasets_mod, features as features_mod
 from fformation.classifiers import load_model, model_to_dict, pairwise_accuracy, save_model, train
 from fformation.cli import main
+from fformation.core import validate_frame
 from fformation.datasets import DatasetFormatError, load_canonical, save_canonical, split_frames
 from fformation.features import pairwise_deconstruct
 from fformation.synthetic import SynthConfig, load_synth_config, save_synth_config
@@ -365,3 +368,49 @@ def test_detect_an_empty_dataset_and_reject_a_huge_coordinate(tmp_path, corpus, 
     capsys.readouterr()
     assert main(["detect", "--model", str(model), "--data", str(huge), "--out", str(out)]) == 1
     assert "frame entry 1, agent entry 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["detect", "train"])
+def test_a_distance_that_overflows_is_an_error_naming_the_frame_and_agents(tmp_path, corpus, capsys, command):
+    # Two agents of a training frame at x = 1e308 and -1e308: the file loads,
+    # and the command ends in one error line, with no numpy warning.
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(corpus), "--kind", "logreg", "--out", str(model)]) == 0
+    doc = json.loads(corpus.read_text(encoding="utf-8"))
+    frame = doc["frames"][1]
+    for agent, x in zip(frame["agents"], (1e308, -1e308)):
+        agent["x"] = x
+    ids = sorted(agent["id"] for agent in frame["agents"][:2])
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(doc), encoding="utf-8")
+    argv = {"detect": ["detect", "--model", str(model), "--out", str(tmp_path / "d.json")],
+            "train": ["train", "--kind", "knn", "--out", str(tmp_path / "m.json")]}[command]
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([*argv, "--data", str(far)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: frame {frame['frame_id']}: agents {ids[0]} and {ids[1]} are too far apart " \
+                  f"for their distance to be a finite float\n"
+
+
+def test_detect_validates_each_frame_once_at_load_and_once_for_its_pairs(tmp_path, corpus, monkeypatch):
+    model, out, again = tmp_path / "model.json", tmp_path / "detected.json", tmp_path / "again.json"
+    assert main(["train", "--data", str(corpus), "--kind", "logreg", "--out", str(model)]) == 0
+    frames = load_canonical(corpus).frames
+    checked = []
+
+    def counting(frame):
+        checked.append(frame.frame_id)
+        return validate_frame(frame)
+
+    monkeypatch.setattr(datasets_mod, "validate_frame", counting)
+    monkeypatch.setattr(features_mod, "validate_frame", counting)
+    assert main(["detect", "--model", str(model), "--data", str(corpus), "--out", str(out)]) == 0
+    assert sorted(checked) == sorted(2 * [f.frame_id for f in frames])
+    # The detections file is canonical as written: it loads and saves to the
+    # same bytes, and it keeps the corpus's frames in order.
+    detected = load_canonical(out)
+    save_canonical(detected, again)
+    assert again.read_bytes() == out.read_bytes()
+    assert [f.agents for f in detected.frames] == [f.agents for f in frames]

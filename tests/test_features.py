@@ -352,6 +352,22 @@ def test_pair_features_name_an_invalid_frame():
         pair_features([good, bad])
 
 
+@pytest.mark.parametrize("block", [1, 2, 4096])
+def test_pair_features_name_the_agents_whose_distance_overflows(monkeypatch, block):
+    # Finite positions whose offset overflows (2e308), or whose offsets are
+    # finite but whose distance overflows: an error naming the frame and the
+    # pair, and no numpy warning. Small blocks put the pair in a later pass.
+    monkeypatch.setattr(features_mod, "_BLOCK_PAIRS", block)
+    good = _circle_frame(3)
+    offset = Frame(frame_id=9, agents=(pose(7, -1e308, 0, 0), pose(1, 0, 0, 0), pose(4, 1e308, 0, 0)))
+    hypot = Frame(frame_id=5, agents=(pose(2, 0, 0, 0), pose(3, 1.5e308, 1.5e308, 0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for far, pair in ((offset, "4 and 7"), (hypot, "2 and 3")):
+            with pytest.raises(ValidationError, match=f"frame {far.frame_id}: agents {pair} are too far"):
+                pair_features([good, far, good])
+
+
 def _shuffled_frames(sizes, rng, coincident):
     """Frames of the given sizes with ids in random order; with
     ``coincident``, about a third of the agents stand on another's spot."""
