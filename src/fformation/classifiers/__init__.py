@@ -13,8 +13,9 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from ..core import COUNT, Frame, PairSample, PairTable, RelationMatrix, _upper_cells, rule_problem
-from ..features import _pair_rows
+from ..core import (COUNT, Frame, PairSample, PairTable, RelationMatrix, ValidationError, _upper_cells,
+                    rule_problem)
+from ..features import _pair_name, _pair_rows
 from .base import (
     DEFAULT_HYPERPARAMS,
     KIND_ALIASES,
@@ -90,7 +91,8 @@ def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
     standardized inputs or the scores are not finite: a finite input far
     beyond a tiny ``std`` can still overflow, and so can the logit of huge
     logreg coefficients. Such overflows raise no numpy warning: the
-    finiteness checks decide.
+    finiteness checks decide. The error's ``row`` is the first row that
+    fails its check.
     """
     with np.errstate(all="ignore"):
         X = np.asarray(X, dtype=np.float64)  # standardizing copies it
@@ -102,12 +104,21 @@ def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
                 )
             X = X.reshape(-1, 2)
         Xs = model.scaling.apply(X)
-        if not np.isfinite(Xs).all():
-            raise ValueError("prediction inputs must be finite, also once standardized")
+        finite = np.isfinite(Xs)
+        if not finite.all():
+            raise _not_finite("prediction inputs must be finite, also once standardized", finite.all(axis=1))
         scores = REGISTRY[model.kind].scores(model.params, model.hyperparams, Xs)
-    if not np.isfinite(scores).all():
-        raise ValueError("prediction scores must be finite")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise _not_finite("prediction scores must be finite", finite)
     return (scores >= DECISION_THRESHOLD).view(np.uint8), scores
+
+
+def _not_finite(message: str, finite: np.ndarray) -> ValueError:
+    """A ValueError whose ``row`` is the first row ``finite`` marks False."""
+    error = ValueError(message)
+    error.row = int(np.argmin(finite))
+    return error
 
 
 def predict(model: TrainedModel, distance: float, effort_angle: float) -> tuple[int, float]:
@@ -135,7 +146,9 @@ def build_relation_matrix(
     pair, the diagonal is fixed at 1, and the result is symmetric by
     construction (the pair features themselves are order-independent).
     Given a sequence of frames, returns one matrix per frame, and the
-    pairs of all of them are scored in one ``predict_batch`` call.
+    pairs of all of them are scored in one ``predict_batch`` call. A pair
+    whose standardized features or score is not finite raises
+    ValidationError naming its frame and agents.
 
     The labels are scattered into a write-locked ``m``, which is valid by
     construction, so the ``RelationMatrix`` constructor's checks are not
@@ -143,8 +156,14 @@ def build_relation_matrix(
     """
     single = isinstance(frames, Frame)
     batch = [frames] if single else list(frames)
-    poses, offsets, _, _, X = _pair_rows(batch)
-    labels, _ = predict_batch(model, X)
+    poses, offsets, _, ends, X = _pair_rows(batch)
+    try:
+        labels, _ = predict_batch(model, X)
+    except ValueError as exc:
+        if not hasattr(exc, "row"):
+            raise
+        pair = _pair_name(batch, poses, offsets, ends, exc.row)
+        raise ValidationError(f"{pair} cannot be scored: {exc}") from None
     ids = [p.agent_id for p in poses]
     matrices = []
     start = 0

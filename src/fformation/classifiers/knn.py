@@ -15,7 +15,11 @@ summed-area table of the cell counts gives any window's count in four
 lookups. A call resolves all its rows together, in rounds of whole-array
 work. Each row starts from the smallest square of cells around its own
 cell, among half-widths 0, 1, 2, 3, 4, 6, 9, ..., that holds about 4k
-points, so it holds at least k. The k-th smallest squared distance in the
+points, so it holds at least k. That half-width depends only on the cell
+and k, so the grid keeps it for every cell, one byte a cell, derived from
+the summed-area table for the model's own k when the grid is built; a row
+takes it in one lookup. A call that asks for another k derives that k's
+table the same way, for the call. The k-th smallest squared distance in the
 window bounds the true one; when the padded radius of that bound stays
 inside the window, every point that brute force could select is in it,
 and the row is scored from the window: each window point has one key
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import _check, _floats, _ints, _known
+from .base import DEFAULT_HYPERPARAMS, _check, _floats, _ints, _known
 
 # Grid cells are sized so that the cell of a training point holds about
 # _POINTS_PER_CELL points, on average over the points, with at most about
@@ -59,6 +63,9 @@ _CHUNK_ELEMENTS = 1 << 17
 
 # Signs that turn a radius into the lower and upper corners of a square.
 _CORNERS = np.array([-1.0, 1.0])[:, None, None]
+
+# The key that pads a row: it sorts after every window point's.
+_PAD = np.iinfo(np.uint64).max
 
 
 def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
@@ -86,10 +93,13 @@ class KnnParams:
     the cells of one column of a window are one slice of ``order``.
     ``counts[i * (shape[1] + 1) + j]`` is the number of points in the cells
     below ``(i, j)`` on both axes, so any window's count takes four lookups.
+    ``first[c]`` indexes in ``halves`` the half-width of the first window of
+    a query in cell ``c``, for ``k``; see :meth:`_levels`.
     """
 
     points: np.ndarray  # (n, 2) standardized training features
     labels: np.ndarray  # (n,) uint8
+    k: int  # neighbors the first windows are sized for
     origin: np.ndarray = field(init=False, repr=False)  # (2,) lower corner
     cell: float = field(init=False, repr=False)  # side of a square cell
     shape: tuple[int, int] = field(init=False, repr=False)  # cells along x, y
@@ -97,6 +107,9 @@ class KnnParams:
     starts: np.ndarray = field(init=False, repr=False)  # (cells + 1,) CSR offsets
     counts: np.ndarray = field(init=False, repr=False)  # flat summed-area table
     halves: np.ndarray = field(init=False, repr=False)  # half-widths a first window may take
+    last: np.ndarray = field(init=False, repr=False)  # (2,) last cell of each axis
+    target: int = field(init=False, repr=False)  # points a first window holds for k
+    first: np.ndarray = field(init=False, repr=False)  # (cells,) uint8 index in halves
 
     def __post_init__(self) -> None:
         pts = self.points
@@ -132,24 +145,29 @@ class KnnParams:
         halves = [0]
         while halves[-1] < max(nx, ny) - 1:
             halves.append(halves[-1] + max(1, halves[-1] // 2))
-        halves = np.array(halves, dtype=np.intp)
-        for name, value in (("order", order), ("starts", starts), ("counts", counts), ("halves", halves)):
+        for name, value in (("order", order), ("starts", starts), ("counts", counts),
+                            ("halves", np.array(halves, dtype=np.intp))):
             value.setflags(write=False)
             set_(self, name, value)
+        set_(self, "target", _target(self.k, n))
+        set_(self, "first", self._levels(self.target))
+        self.first.setflags(write=False)
 
     def _grid(self, pts: np.ndarray, side: float, ext: list) -> np.ndarray:
         """Sets the grid of cells of ``side`` over the box and returns the
         flat cell of each point."""
         object.__setattr__(self, "cell", side)
         object.__setattr__(self, "shape", (1 + int(ext[0] / side), 1 + int(ext[1] / side)))
+        last = np.array(self.shape) - 1
+        last.setflags(write=False)
+        object.__setattr__(self, "last", last)
         cells = self._cells(pts)
         return cells[:, 0] * self.shape[1] + cells[:, 1]
 
     def _cells(self, xy: np.ndarray) -> np.ndarray:
         """Clamped (cx, cy) cell of each row; NaN maps to cell 0."""
         c = np.floor((xy - self.origin) / self.cell)
-        c = np.fmin(np.fmax(c, 0.0), np.array(self.shape) - 1.0)
-        return c.astype(np.intp)
+        return np.fmin(np.fmax(c, 0.0), self.last).astype(np.intp)
 
     def _held(self, x0: np.ndarray, y0: np.ndarray, x1: np.ndarray, y1: np.ndarray) -> np.ndarray:
         """Points in the windows of cells ``(x0, y0)`` to ``(x1, y1)``,
@@ -158,30 +176,37 @@ class KnnParams:
         x0, x1, y1 = x0 * w, (x1 + 1) * w, y1 + 1
         return s[x1 + y1] - s[x0 + y1] - s[x1 + y0] + s[x0 + y0]
 
-    def _first(self, cell: np.ndarray, target: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first window of each row: the square of cells around its
-        ``cell``, clamped to the grid, of the first of ``halves`` that holds
-        at least ``target`` points.
+    def _levels(self, target: int) -> np.ndarray:
+        """For each cell, the index in ``halves`` of the first half-width
+        whose square of cells around it, clamped to the grid, holds at least
+        ``target`` points.
 
         The last half-width covers the grid from any cell, so ``target``
-        must be at most n. Returns the inclusive corners of the windows and
-        their counts. Rows are looked up in blocks, so that memory does not
-        grow with the call.
+        must be at most n. The index is the number of half-widths whose
+        square holds fewer. Each half-width counts, from the summed-area
+        table, the squares of the grid rows that still have a cell short of
+        ``target``; rows go in blocks, so that memory does not grow with the
+        grid.
         """
-        m = cell.shape[0]
-        lo, hi = np.empty_like(cell), np.empty_like(cell)
-        held = np.empty(m, dtype=np.intp)
-        last = np.array(self.shape)[:, None] - 1
-        block = max(1, _CHUNK_ELEMENTS // (8 * self.halves.size))
-        for b in range(0, m, block):
-            c = cell[b : b + block, :, None]
-            low, high = np.maximum(c - self.halves, 0), np.minimum(c + self.halves, last)
-            count = self._held(low[:, 0], low[:, 1], high[:, 0], high[:, 1])
-            level = np.argmax(count >= target, axis=1)
-            row = np.arange(level.size)
-            lo[b : b + block], hi[b : b + block] = low[row, :, level], high[row, :, level]
-            held[b : b + block] = count[row, level]
-        return lo, hi, held
+        nx, ny = self.shape
+        s = self.counts.reshape(nx + 1, ny + 1)
+        # Half-widths grow by half, so a grid has far fewer than 256.
+        level = np.zeros((nx, ny), dtype=np.uint8)
+        y = np.arange(ny)
+        # A block's (rows, ny + 1) counts take a quarter of _CHUNK_ELEMENTS.
+        block = max(1, _CHUNK_ELEMENTS // (4 * (ny + 1)))
+        for x0 in range(0, nx, block):
+            x = np.arange(x0, min(x0 + block, nx))
+            for h in self.halves.tolist():
+                # The counts of the rows' squares: columns of the x range
+                # first, then the y range of each.
+                band = s[np.minimum(x + h + 1, nx)] - s[np.maximum(x - h, 0)]
+                short = band[:, np.minimum(y + h + 1, ny)] - band[:, np.maximum(y - h, 0)] < target
+                level[x] += short
+                x = x[short.any(axis=1)]
+                if not x.size:
+                    break
+        return level.ravel()
 
     def _columns(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ranges of ``order`` that hold the windows of cells ``lo`` to ``hi``.
@@ -196,13 +221,20 @@ class KnnParams:
         return start, self.starts[col + np.repeat(hi[:, 1] + 1, width)] - start
 
 
+def _target(k: int, n: int) -> int:
+    """Points the first window of a query holds for ``k`` of ``n``."""
+    return min(_FIRST_WINDOW * min(k, n), n)
+
+
 def fit(Xs: np.ndarray, y: np.ndarray, hyperparams: dict, seed: int) -> KnnParams:
-    """The training set, indexed; ``k`` acts only in ``scores``."""
+    """The training set, indexed, with first windows sized for
+    ``hyperparams["k"]`` (the default k when it names none)."""
     pts = np.array(Xs, dtype=np.float64)
     labels = np.array(y, dtype=np.uint8)
     pts.setflags(write=False)
     labels.setflags(write=False)
-    return KnnParams(points=pts, labels=labels)
+    k = hyperparams.get("k", DEFAULT_HYPERPARAMS["weighted_knn"]["k"])
+    return KnnParams(points=pts, labels=labels, k=int(k))
 
 
 def to_params(params: KnnParams) -> dict:
@@ -218,7 +250,7 @@ def from_params(raw: dict, hyperparams: dict) -> KnnParams:
     _check(np.isin(labels, (0, 1)).all(), "knn labels must be 0 or 1")
     _check("k" in hyperparams, "knn needs hyperparams.k")
     _known(raw, ("points", "labels"), "knn params")
-    return KnnParams(points=points, labels=labels.astype(np.uint8))
+    return KnnParams(points=points, labels=labels.astype(np.uint8), k=int(hyperparams["k"]))
 
 
 def _chunks(count: np.ndarray) -> list:
@@ -269,7 +301,7 @@ def _round(
     # orders (distance, label); inf's key stays below the padding. The index
     # needs no key: points equal in distance and label cast equal votes.
     width = int(count.max())
-    key = np.full((m, width), np.iinfo(np.uint64).max, dtype=np.uint64)
+    key = np.full((m, width), _PAD, dtype=np.uint64)
     key[np.arange(width) < count[:, None]] = (d2.view(np.uint64) << 1) | params.labels[idx]
     key.partition(k - 1, axis=1)
     kth = (key[:, k - 1] >> 1).view(np.float64)
@@ -303,20 +335,28 @@ def scores(params: KnnParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarray:
     Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
     out = np.full(Xs.shape[0], np.nan)
     rows = np.flatnonzero(np.isfinite(Xs).all(axis=1))
-    q = Xs[rows]
-    lo, hi, count = params._first(params._cells(q), min(_FIRST_WINDOW * k, n))
+    q = Xs if rows.size == Xs.shape[0] else Xs[rows]
+    # Each row's first window: the square of its cell's half-width, from
+    # the table built for the params' own k or, for another k, one built
+    # for the call.
+    target = _target(k, n)
+    first = params.first if target == params.target else params._levels(target)
+    cell = params._cells(q)
+    half = params.halves[first[cell[:, 0] * params.shape[1] + cell[:, 1]]][:, None]
+    lo, hi = np.maximum(cell - half, 0), np.minimum(cell + half, params.last)
+    count = params._held(*lo.T, *hi.T)
     while rows.size:
-        done = np.zeros(rows.size, dtype=bool)
+        again = []
         for part in _chunks(count):
             score, ok, reach = _round(params, k, q[part], lo[part], hi[part], count[part])
             out[rows[part][ok]] = score
-            done[part] = ok
-            # A row that is not certified goes round again with the square
-            # its bound reaches, which certifies it.
-            lo[part], hi[part] = reach
-        if done.all():
+            if not ok.all():
+                # A row that is not certified goes round again with the
+                # square its bound reaches, which certifies it.
+                left = ~ok
+                again.append((rows[part][left], q[part][left], reach[0][left], reach[1][left]))
+        if not again:
             break
-        left = ~done
-        rows, q, lo, hi = rows[left], q[left], lo[left], hi[left]
+        rows, q, lo, hi = map(np.concatenate, zip(*again))
         count = params._held(*lo.T, *hi.T)
     return out

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+import warnings
 from typing import Optional, Sequence
 
 from .characterization import characterize_corpus, format_size_table
@@ -204,14 +205,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The warning pair features give, one a pair, for two agents at one position.
+_COINCIDENT = r"agents .+ and .+ share a position; effort angle defaulted to 0$"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command. The coincident-pair warnings of the command are
+    not shown one by one: one line counts them and names the first."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, PlacementError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    coincident = []
+    with warnings.catch_warnings():
+        warnings.filterwarnings("always", _COINCIDENT, RuntimeWarning)
+        show = warnings.showwarning
+
+        def count(message, category, *rest, **kwargs):
+            if category is RuntimeWarning and hasattr(message, "pair"):
+                coincident.append(message)
+            else:
+                show(message, category, *rest, **kwargs)
+
+        warnings.showwarning = count
+        try:
+            status, error = args.func(args), None
+        except (ValueError, PlacementError, OSError) as exc:
+            status, error = 1, exc
+    if coincident:
+        pairs = f"{len(coincident)} pair" + "s" * (len(coincident) != 1)
+        print(f"warning: {pairs} of agents at one position, effort angle defaulted to 0; "
+              f"the first: {coincident[0].pair}", file=sys.stderr)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+    return status
 
 
 if __name__ == "__main__":

@@ -87,7 +87,8 @@ def pair_features(frames: Sequence[Frame]) -> tuple[np.ndarray, np.ndarray, np.n
     the frame's agents in ascending id order, and its pairs run in
     row-major order. ``X`` holds [distance, effort_angle] rows equal bit
     for bit to :func:`distance` and :func:`effort_angle`, coincident
-    agents included (effort 0 and one RuntimeWarning per pair). Raises
+    agents included (effort 0 and one RuntimeWarning per pair, whose
+    ``pair`` attribute reads "frame F: agents A and B"). Raises
     ValidationError, naming the frame, for an invalid frame, and naming its
     two agents too for a pair whose distance overflows.
     """
@@ -142,25 +143,33 @@ def _pair_rows(
         out = X[rows]
         out[:, 0] = dist = np.fromiter(map(math.hypot, dx, dy), np.float64, len(out))
         if dist.max() == math.inf:  # never NaN, as the positions are finite
-            k = int(dist.argmax())
-            a, b = block[:, k].tolist()
-            frame = frames[bisect_right(offsets, start + k) - 1]
+            row = start + int(dist.argmax())
             raise ValidationError(
-                f"frame {frame.frame_id}: agents {poses[a].agent_id} and {poses[b].agent_id} "
-                f"are too far apart for their distance to be a finite float"
+                f"{_pair_name(frames, poses, offsets, ends, row)} are too far apart for their "
+                f"distance to be a finite float"
             )
         np.add(turn[0], turn[1], out=out[:, 1])
         if np.count_nonzero(dist) < len(dist):  # zero exactly when both offsets are
             for k in np.flatnonzero(dist == 0.0).tolist():
                 a, b = block[:, k].tolist()
-                warnings.warn(
+                warning = RuntimeWarning(
                     f"agents {poses[a].agent_id} and {poses[b].agent_id} share a position; "
-                    f"effort angle defaulted to 0",
-                    RuntimeWarning,
-                    stacklevel=3,
+                    f"effort angle defaulted to 0"
                 )
+                warning.pair = _pair_name(frames, poses, offsets, ends, start + k)
+                warnings.warn(warning, stacklevel=3)
             out[dist == 0.0, 1] = 0.0
     return poses, offsets, ij, ends, X
+
+
+def _pair_name(frames: Sequence[Frame], poses: list[AgentPose], offsets: list[int], ends: np.ndarray,
+               row: int) -> str:
+    """The words "frame F: agents A and B" for pair ``row`` of
+    :func:`_pair_rows` over ``frames``, which returned ``poses``,
+    ``offsets`` and ``ends``."""
+    frame = frames[bisect_right(offsets, row) - 1]
+    a, b = ends[:, row].tolist()
+    return f"frame {frame.frame_id}: agents {poses[a].agent_id} and {poses[b].agent_id}"
 
 
 def ordered_agents(frame: Frame) -> list[AgentPose]:

@@ -38,7 +38,7 @@ from fformation.classifiers.base import (
     resolve_hyperparams,
     samples_to_arrays,
 )
-from fformation.core import AgentPose, Frame, PairSample, PairTable
+from fformation.core import AgentPose, Frame, PairSample, PairTable, ValidationError
 from fformation.evaluation import majority_baseline
 from fformation.features import pairwise_deconstruct
 from fformation.synthetic import SynthConfig, generate_synthetic
@@ -556,38 +556,62 @@ def test_knn_per_frame_calls_finish_in_one_round(corpus_knn, monkeypatch):
     assert rounds.count(1) >= 0.95 * len(rounds), np.bincount(rounds)
 
 
-def reference_first_window(params, cell, target):
-    """The first windows by counting the training points' cells: for each
-    query cell, the first square of ``halves`` that holds ``target``."""
-    cells = params._cells(params.points)
-    last = np.array(params.shape) - 1
-    lo, hi, held = [], [], []
-    for c in cell:
-        for h in params.halves:
-            a, b = np.maximum(c - h, 0), np.minimum(c + h, last)
-            count = int(np.count_nonzero(((cells >= a) & (cells <= b)).all(axis=1)))
-            if count >= target:
-                break
-        lo.append(a)
-        hi.append(b)
-        held.append(count)
-    return np.array(lo), np.array(hi), np.array(held)
+def reference_first_halves(params, target):
+    """The half-width of each grid cell's first window, from the points of
+    each cell of its square added up one shift at a time: the first of
+    ``halves`` whose square, clamped to the grid, holds ``target``."""
+    nx, ny = params.shape
+    per_cell = np.zeros((nx, ny), dtype=np.int64)
+    np.add.at(per_cell, tuple(params._cells(params.points).T), 1)
+    half = np.full((nx, ny), -1)
+    for h in params.halves.tolist():
+        band = np.zeros_like(per_cell)
+        for d in range(-min(h, nx - 1), min(h, nx - 1) + 1):
+            band[max(0, -d) : nx - max(0, d)] += per_cell[max(0, d) : nx - max(0, -d)]
+        square = np.zeros_like(per_cell)
+        for d in range(-min(h, ny - 1), min(h, ny - 1) + 1):
+            square[:, max(0, -d) : ny - max(0, d)] += band[:, max(0, d) : ny - max(0, -d)]
+        half[(half < 0) & (square >= target)] = h
+        if (half >= 0).all():
+            break
+    return half.ravel()
+
+
+def first_window_counts(params, queries):
+    """Points in the first window of each query, from the table."""
+    cell = params._cells(np.asarray(queries, dtype=np.float64))
+    half = params.halves[params.first[cell @ [params.shape[1], 1]]][:, None]
+    lo, hi = np.maximum(cell - half, 0), np.minimum(cell + half, params.last)
+    return params._held(*lo.T, *hi.T)
 
 
 def assert_first_windows_match_reference(pts, labels, queries, ks):
-    """Scores equal brute force, and the first windows equal the reference."""
+    """For each k, the first-window table of every grid cell equals the
+    reference, whether built with the params for k or for a call with
+    another k; and scores equal brute force."""
     params = knn_mod.fit(pts, labels, {}, 0)
     halves = params.halves
     assert halves[0] == 0 and halves[-1] >= max(params.shape) - 1
     assert (np.diff(halves) >= 1).all() and (halves[3:] <= 1.5 * halves[2:-1]).all()
-    cell = params._cells(np.asarray(queries, dtype=np.float64))
+    assert params.first.dtype == np.uint8 and params.first.shape == (params.shape[0] * params.shape[1],)
     n = len(pts)
     for k in ks:
+        own = knn_mod.fit(pts, labels, {"k": k}, 0)
         target = min(knn_mod._FIRST_WINDOW * min(k, n), n)
-        for got, want in zip(params._first(cell, target), reference_first_window(params, cell, target)):
-            assert np.array_equal(got, want), k
+        assert own.target == target and own.shape == params.shape
+        want = reference_first_halves(own, target)
+        assert np.array_equal(halves[own.first], want), k
+        assert np.array_equal(halves[params._levels(target)], want), k
+        got = knn_mod.scores(own, {"k": k}, queries)
+        assert np.array_equal(got, brute_force_knn_scores(own, k, queries), equal_nan=True), k
     assert_grid_matches_brute_force(pts, labels, queries, ks=ks)
     return params
+
+
+def test_knn_first_window_table_of_a_corpus_model_matches_the_reference(corpus_knn):
+    params = corpus_knn.params
+    assert params.k == corpus_knn.hyperparams["k"] and params.shape[0] * params.shape[1] > 50_000
+    assert np.array_equal(params.halves[params.first], reference_first_halves(params, params.target))
 
 
 def _empty_cell_centers(params, count, rng):
@@ -620,6 +644,17 @@ def test_knn_first_window_on_a_one_cell_grid():
     assert params.shape == (1, 1) and params.halves.tolist() == [0]
 
 
+def test_knn_first_window_on_a_one_cell_grid_from_a_box_too_wide_for_floats():
+    rng = np.random.default_rng(45)
+    pts = np.concatenate([rng.normal(size=(60, 2)), [[-1e308, 0.0], [1e308, 1.0]]])
+    labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
+    queries = np.concatenate([rng.normal(size=(20, 2)), [[1e308, 1.0], [-1e308, -1.0], [0.0, 1e300]]])
+    # Differences between the far points and the rest overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = assert_first_windows_match_reference(pts, labels, queries, ks=(1, 10, 15, 16, 100))
+    assert params.shape == (1, 1) and params.cell == math.inf and params.halves.tolist() == [0]
+
+
 def test_knn_first_window_in_a_thin_box():
     rng = np.random.default_rng(42)
     line = rng.standard_cauchy(size=2000)
@@ -635,9 +670,9 @@ def test_knn_first_window_holds_every_point_when_k_reaches_a_quarter_of_n():
     pts = rng.normal(size=(40, 2))
     labels = rng.integers(0, 2, size=40).astype(np.uint8)
     queries = np.concatenate([rng.normal(size=(20, 2)) * 3, [[100.0, -100.0]]])
-    params = assert_first_windows_match_reference(pts, labels, queries, ks=(10, 39, 40, 41, 100))
+    assert_first_windows_match_reference(pts, labels, queries, ks=(10, 39, 40, 41, 100))
     for k in (10, 40, 100):
-        assert (params._first(params._cells(queries), min(knn_mod._FIRST_WINDOW * k, 40))[2] == 40).all()
+        assert (first_window_counts(knn_mod.fit(pts, labels, {"k": k}, 0), queries) == 40).all()
 
 
 def test_knn_first_window_on_a_cluster_far_denser_than_the_mean():
@@ -741,7 +776,7 @@ def test_knn_batch_of_one_chunk_plus_one_row_matches_brute_force():
     # Rows in one cell share its first window, so a chunk holds a fixed
     # number of them.
     cell = np.array(params.shape) // 2
-    count = int(params._first(cell[None], knn_mod._FIRST_WINDOW * 10)[2][0])
+    count = int(first_window_counts(params, params.origin + (cell[None] + 0.5) * params.cell)[0])
     per_chunk = len(knn_mod._chunks(np.full(10**6, count))[0])
     queries = params.origin + (cell + rng.uniform(0.05, 0.95, size=(per_chunk + 1, 2))) * params.cell
     assert (params._cells(queries) == cell).all()
@@ -1957,6 +1992,34 @@ def test_logreg_logits_that_overflow_are_rejected_as_non_finite_scores():
             predict(model, 50.0, 6.0)
         with pytest.raises(ValueError, match="scores must be finite"):
             predict_batch(model, [[0.5, 0.5], [-50.0, -6.0]])
+
+
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_relation_matrices_name_the_frame_and_agents_of_a_pair_they_cannot_score(kind):
+    doc = model_to_dict(train(separable_samples(40, seed=8), kind=kind, seed=0))
+    doc["scaling"]["std"] = [1e-300, 1.0]
+    tiny = model_from_dict(doc)
+    near = Frame(frame_id=4, agents=(AgentPose(1, 0.0, 0.0, 0.0), AgentPose(2, 1.0, 0.0, 3.0)))
+    far = Frame(frame_id=9, agents=(AgentPose(5, 0.0, 0.0, 0.0), AgentPose(3, 1.0, 0.0, 3.0),
+                                    AgentPose(8, 1e10, 0.0, 0.0)))
+    with runtime_warnings_as_errors():
+        with pytest.raises(ValidationError) as caught:
+            build_relation_matrix(tiny, [near, far])
+    # The first pair of frame 9 that overflows, in ascending id order.
+    assert str(caught.value) == (
+        "frame 9: agents 3 and 8 cannot be scored: prediction inputs must be finite, also once standardized"
+    )
+    if kind != "trees":
+        # Finite standardized inputs whose squared distances overflow, or
+        # whose logit does.
+        model = train(separable_samples(40, seed=8), kind=kind, seed=0)
+        if kind == "logreg":
+            model = model_from_dict({**model_to_dict(model), "params": {"coef": [1e150] * 3}})
+        far = Frame(frame_id=9, agents=(*far.agents[:2], AgentPose(8, 1e200, 0.0, 0.0)))
+        with runtime_warnings_as_errors():
+            with pytest.raises(ValidationError, match="^frame 9: agents 3 and 8 cannot be scored: "
+                                                      "prediction scores must be finite$"):
+                build_relation_matrix(model, [near, far])
 
 
 def test_logreg_scores_of_finite_logits_are_the_sigmoid_bit_for_bit():

@@ -394,6 +394,71 @@ def test_a_distance_that_overflows_is_an_error_naming_the_frame_and_agents(tmp_p
                   f"for their distance to be a finite float\n"
 
 
+@pytest.mark.parametrize("kind", ["knn", "logreg"])
+def test_a_finite_distance_too_large_to_score_is_an_error_naming_the_frame_and_agents(
+    tmp_path, corpus, capsys, kind
+):
+    # Agents at x = 0 and 1.7e308: the distance is finite, but kNN's squared
+    # distances overflow, and so does logreg's logit.
+    model = tmp_path / "model.json"
+    assert main(["train", "--data", str(corpus), "--kind", kind, "--out", str(model)]) == 0
+    doc = json.loads(corpus.read_text(encoding="utf-8"))
+    frame = doc["frames"][3]
+    for agent, x in zip(frame["agents"], (0.0, 1.7e308)):
+        agent["x"], agent["y"] = x, 0.0
+    ids = sorted(agent["id"] for agent in frame["agents"][:2])
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["detect", "--model", str(model), "--data", str(far), "--out", str(tmp_path / "d.json")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: frame {frame['frame_id']}: agents {ids[0]} and {ids[1]} cannot be scored: " \
+                  f"prediction scores must be finite\n"
+
+
+@pytest.mark.parametrize("agents", [3, 200])
+def test_coincident_agents_give_one_summary_line(tmp_path, corpus, capsys, agents):
+    model, out = tmp_path / "model.json", tmp_path / "d.json"
+    assert main(["train", "--data", str(corpus), "--kind", "knn", "--out", str(model)]) == 0
+    doc = json.loads(corpus.read_text(encoding="utf-8"))
+    frame = doc["frames"][2]
+    frame["agents"] = [{"id": 100 + a, "x": 1.5, "y": -2.0, "body_theta": 0.1 * a} for a in range(agents)]
+    frame.pop("groups", None)
+    same = tmp_path / "same.json"
+    same.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["detect", "--model", str(model), "--data", str(same), "--out", str(out)]) == 0
+        # The library still warns once a pair.
+        with pytest.raises(RuntimeWarning, match="^agents 100 and 101 share a position"):
+            features_mod.pair_features(load_canonical(same).frames)
+    lines = capsys.readouterr().err.splitlines()
+    pairs = agents * (agents - 1) // 2
+    assert len(lines) == 2 and lines[0].startswith(f"{len(doc['frames'])} frames in ")
+    assert lines[1] == f"warning: {pairs} pairs of agents at one position, effort angle defaulted to 0; " \
+                       f"the first: frame {frame['frame_id']}: agents 100 and 101"
+    assert len(load_canonical(out).frames[2].truth.groups) >= 1
+
+
+def test_warnings_other_than_coincident_pairs_pass_through_the_command(tmp_path, corpus, capsys, monkeypatch):
+    real = features_mod.pairwise_deconstruct
+
+    def warning_deconstruct(frames):
+        warnings.warn("something else", RuntimeWarning)
+        return real(frames)
+
+    monkeypatch.setattr("fformation.cli.pairwise_deconstruct", warning_deconstruct)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        argv = ["train", "--data", str(corpus), "--kind", "logreg", "--out", str(tmp_path / "m.json")]
+        assert main(argv) == 0
+    assert [str(w.message) for w in caught] == ["something else"] * 2
+    assert "warning:" not in capsys.readouterr().err
+
+
 def test_detect_validates_each_frame_once_at_load_and_once_for_its_pairs(tmp_path, corpus, monkeypatch):
     model, out, again = tmp_path / "model.json", tmp_path / "detected.json", tmp_path / "again.json"
     assert main(["train", "--data", str(corpus), "--kind", "logreg", "--out", str(model)]) == 0
