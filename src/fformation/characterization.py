@@ -98,10 +98,14 @@ def shape_of(frame: Frame, group: frozenset) -> GroupShape:
             raise ValidationError(
                 f"frame {frame.frame_id}: group member {agent_id} has no pose"
             ) from None
+    try:
+        sym = symmetry(poses)
+    except ValueError as exc:  # a member at the centroid
+        raise ValidationError(f"frame {frame.frame_id}: {exc}") from None
     return GroupShape(
         group=frozenset(group),
         center=group_center(poses),
-        symmetry=symmetry(poses),
+        symmetry=sym,
         tightness=tightness(poses),
     )
 

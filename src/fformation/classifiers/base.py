@@ -180,8 +180,15 @@ def samples_to_arrays(pairs: PairTable | Sequence[PairSample]) -> tuple[np.ndarr
 
 
 def fit_scaling(X: np.ndarray) -> FeatureScaling:
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    # Finite features far apart can overflow the sums behind the mean and
+    # std; the finiteness check below reports that, not a numpy warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        bad = int(np.argmin(np.isfinite(mean) & np.isfinite(std)))
+        name = ("distance", "effort_angle")[bad]
+        raise TrainingError(f"feature {name} spans too wide a range for its mean and std to be finite")
     if np.any(std <= 0.0):
         bad = int(np.argmin(std))
         name = ("distance", "effort_angle")[bad]

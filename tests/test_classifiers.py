@@ -327,6 +327,14 @@ def test_fit_scaling_rejects_zero_variance():
         fit_scaling(np.array([[1.0, 2.5], [3.0, 2.5]]))
 
 
+def test_fit_scaling_rejects_statistics_that_overflow():
+    # Each distance is finite, but the squares behind the std are not.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TrainingError, match="^feature distance spans too wide a range"):
+            fit_scaling(np.array([[0.0, 0.5], [1.7e308, 2.5], [1.0, 1.5]]))
+
+
 def test_kind_resolution():
     assert canonical_kind("knn") == "weighted_knn"
     assert canonical_kind("trees") == "bagged_trees"

@@ -96,6 +96,19 @@ def test_synth_config_values_are_checked_per_field(tmp_path, capsys, text, messa
     assert "Traceback" not in err and not out.exists()
 
 
+def test_synth_rejects_size_weights_whose_sum_overflows(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"group_size_distribution": {"2": 1e308, "3": 1e308}}', encoding="utf-8")
+    out = tmp_path / "corpus.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {config}: group_size_distribution must have weights whose sum is finite, " \
+                  f"got a sum of inf\n"
+    assert not out.exists()
+
+
 def test_synth_is_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["synth", "--out", str(a)]) == 0
@@ -479,3 +492,67 @@ def test_detect_validates_each_frame_once_at_load_and_once_for_its_pairs(tmp_pat
     save_canonical(detected, again)
     assert again.read_bytes() == out.read_bytes()
     assert [f.agents for f in detected.frames] == [f.agents for f in frames]
+
+
+def _scaled(frame, factor):
+    for agent in frame["agents"]:
+        agent["x"], agent["y"] = agent["x"] * factor, agent["y"] * factor
+
+
+def _at(frame, *positions):
+    for agent, (x, y) in zip(frame["agents"], positions):
+        agent["x"], agent["y"] = x, y
+
+
+def _keep(frame, count):
+    frame["agents"] = frame["agents"][:count]
+    frame["groups"] = []
+
+
+# Files that load but stress the commands: each mutates one frame of a valid
+# corpus.
+FAULTS = {
+    "opposite-1e308": lambda f: _at(f, (1e308, 0.0), (-1e308, 0.0)),
+    "x-1.7e308": lambda f: _at(f, (0.0, 0.0), (1.7e308, 0.0)),
+    "y-minus-1.7e308": lambda f: _at(f, (-1.7e308, -1.7e308)),
+    "scaled-1e300": lambda f: _scaled(f, 1e300),
+    "scaled-1e-300": lambda f: _scaled(f, 1e-300),
+    "subnormal": lambda f: _at(f, (5e-324, 0.0), (0.0, 5e-324), (-5e-324, -5e-324)),
+    "two-coincident": lambda f: _at(f, (3.0, 4.0), (3.0, 4.0)),
+    "all-coincident": lambda f: _scaled(f, 0.0),
+    "one-agent": lambda f: _keep(f, 1),
+    "no-agents": lambda f: _keep(f, 0),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_a_file_that_loads_never_crashes_a_command(tmp_path, corpus, capsys, fault):
+    # Every command on a mutated file exits 0, or exits 1 with one error
+    # line; a traceback or a numpy warning, raised as an error here, fails.
+    doc = json.loads(corpus.read_text(encoding="utf-8"))
+    FAULTS[fault](doc["frames"][2])
+    data = tmp_path / "fault.json"
+    data.write_text(json.dumps(doc), encoding="utf-8")
+    load_canonical(data)
+
+    def run(*argv):
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            status = main(list(argv))
+        err = capsys.readouterr().err
+        assert status in (0, 1) and "Traceback" not in err and "RuntimeWarning" not in err
+        if status:
+            assert err.startswith("error: ") and err.count("\n") == 1
+        return status
+
+    kinds = ("knn", "trees", "logreg")
+    for kind in kinds:
+        assert main(["train", "--data", str(corpus), "--kind", kind, "--out", str(tmp_path / f"{kind}.json")]) == 0
+        run("train", "--data", str(data), "--kind", kind, "--out", str(tmp_path / f"fault-{kind}.json"))
+        detected = tmp_path / f"detected-{kind}.json"
+        if run("detect", "--model", str(tmp_path / f"{kind}.json"), "--data", str(data), "--out", str(detected)) == 0:
+            assert run("evaluate", "--detections", str(detected), "--truth", str(data)) == 0
+            run("characterize", "--data", str(detected), "--use", "detections")
+    assert run("evaluate", "--detections", str(data), "--truth", str(data), "--matching", "exact") == 0
+    run("characterize", "--data", str(data), "--svg", str(tmp_path / "sizes.svg"))
