@@ -95,7 +95,7 @@ def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
     fails its check.
     """
     with np.errstate(all="ignore"):
-        X = np.asarray(X, dtype=np.float64)  # standardizing copies it
+        X = np.asarray(X, dtype=np.float64, order="C")  # standardizing copies it
         if X.ndim != 2 or X.shape[1] != 2:
             if X.shape not in ((2,), (0,)):
                 raise ValueError(
@@ -107,7 +107,7 @@ def predict_batch(model: TrainedModel, X) -> tuple[np.ndarray, np.ndarray]:
         finite = np.isfinite(Xs)
         if not finite.all():
             raise _not_finite("prediction inputs must be finite, also once standardized", finite.all(axis=1))
-        scores = REGISTRY[model.kind].scores(model.params, model.hyperparams, Xs)
+        scores = REGISTRY[model.kind].scores(model.params, Xs)
     finite = np.isfinite(scores)
     if not finite.all():
         raise _not_finite("prediction scores must be finite", finite)

@@ -17,9 +17,8 @@ work. Each row starts from the smallest square of cells around its own
 cell, among half-widths 0, 1, 2, 3, 4, 6, 9, ..., that holds about 4k
 points, so it holds at least k. That half-width depends only on the cell
 and k, so the grid keeps it for every cell, one byte a cell, derived from
-the summed-area table for the model's own k when the grid is built; a row
-takes it in one lookup. A call that asks for another k derives that k's
-table the same way, for the call. The k-th smallest squared distance in the
+the summed-area table for the model's k when the grid is built; a row
+takes it in one lookup. The k-th smallest squared distance in the
 window bounds the true one; when the padded radius of that bound stays
 inside the window, every point that brute force could select is in it,
 and the row is scored from the window: each window point has one key
@@ -39,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import DEFAULT_HYPERPARAMS, _check, _floats, _ints, _known
+from .base import _check, _floats, _ints, _known
 
 # Grid cells are sized so that the cell of a training point holds about
 # _POINTS_PER_CELL points, on average over the points, with at most about
@@ -99,7 +98,7 @@ class KnnParams:
 
     points: np.ndarray  # (n, 2) standardized training features
     labels: np.ndarray  # (n,) uint8
-    k: int  # neighbors the first windows are sized for
+    k: int  # neighbors a row votes with, at most n
     origin: np.ndarray = field(init=False, repr=False)  # (2,) lower corner
     cell: float = field(init=False, repr=False)  # side of a square cell
     shape: tuple[int, int] = field(init=False, repr=False)  # cells along x, y
@@ -108,7 +107,6 @@ class KnnParams:
     counts: np.ndarray = field(init=False, repr=False)  # flat summed-area table
     halves: np.ndarray = field(init=False, repr=False)  # half-widths a first window may take
     last: np.ndarray = field(init=False, repr=False)  # (2,) last cell of each axis
-    target: int = field(init=False, repr=False)  # points a first window holds for k
     first: np.ndarray = field(init=False, repr=False)  # (cells,) uint8 index in halves
 
     def __post_init__(self) -> None:
@@ -149,8 +147,8 @@ class KnnParams:
                             ("halves", np.array(halves, dtype=np.intp))):
             value.setflags(write=False)
             set_(self, name, value)
-        set_(self, "target", _target(self.k, n))
-        set_(self, "first", self._levels(self.target))
+        set_(self, "k", min(self.k, n))
+        set_(self, "first", self._levels(min(_FIRST_WINDOW * self.k, n)))
         self.first.setflags(write=False)
 
     def _grid(self, pts: np.ndarray, side: float, ext: list) -> np.ndarray:
@@ -221,20 +219,14 @@ class KnnParams:
         return start, self.starts[col + np.repeat(hi[:, 1] + 1, width)] - start
 
 
-def _target(k: int, n: int) -> int:
-    """Points the first window of a query holds for ``k`` of ``n``."""
-    return min(_FIRST_WINDOW * min(k, n), n)
-
-
 def fit(Xs: np.ndarray, y: np.ndarray, hyperparams: dict, seed: int) -> KnnParams:
     """The training set, indexed, with first windows sized for
-    ``hyperparams["k"]`` (the default k when it names none)."""
+    ``hyperparams["k"]``."""
     pts = np.array(Xs, dtype=np.float64)
     labels = np.array(y, dtype=np.uint8)
     pts.setflags(write=False)
     labels.setflags(write=False)
-    k = hyperparams.get("k", DEFAULT_HYPERPARAMS["weighted_knn"]["k"])
-    return KnnParams(points=pts, labels=labels, k=int(k))
+    return KnnParams(points=pts, labels=labels, k=int(hyperparams["k"]))
 
 
 def to_params(params: KnnParams) -> dict:
@@ -279,7 +271,6 @@ def _chunks(count: np.ndarray) -> list:
 
 def _round(
     params: KnnParams,
-    k: int,
     q: np.ndarray,
     lo: np.ndarray,
     hi: np.ndarray,
@@ -291,7 +282,7 @@ def _round(
     Returns the scores of the rows that their windows certify, which rows
     those are, and the corners of the square each row's bound reaches.
     """
-    m = q.shape[0]
+    m, k = q.shape[0], params.k
     idx = params.order[_ranges(*params._columns(lo, hi))]
     pts = params.points
     d2 = (np.repeat(q[:, 0], count) - pts[:, 0][idx]) ** 2 + (np.repeat(q[:, 1], count) - pts[:, 1][idx]) ** 2
@@ -318,37 +309,32 @@ def _round(
     # of its exact matches.
     exact = d2[:, :1] == 0.0
     w = 1.0 / np.where(exact, np.where(d2 == 0.0, 1.0, np.inf), d2)
-    return (w * y).sum(axis=1) / w.sum(axis=1), done, reach
+    score = (w * y).sum(axis=1) / w.sum(axis=1)
+    # A squared distance too small for its inverse to be finite leaves no
+    # finite score: such rows vote again, each weight scaled by the nearest
+    # squared distance. Rows at infinite distances still score NaN.
+    again = ~np.isfinite(score)
+    if again.any():
+        w = d2[again, :1] / d2[again]
+        score[again] = (w * y[again]).sum(axis=1) / w.sum(axis=1)
+    return score, done, reach
 
 
-def scores(params: KnnParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarray:
-    """Weighted positive-class vote of the ``hyperparams["k"]`` nearest
-    training points, for each standardized query row.
-
-    Rows that are not finite score NaN, as a vote over infinite distances
-    does.
-    """
-    n = params.points.shape[0]
-    k = min(int(hyperparams["k"]), n)
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
-    out = np.full(Xs.shape[0], np.nan)
-    rows = np.flatnonzero(np.isfinite(Xs).all(axis=1))
-    q = Xs if rows.size == Xs.shape[0] else Xs[rows]
-    # Each row's first window: the square of its cell's half-width, from
-    # the table built for the params' own k or, for another k, one built
-    # for the call.
-    target = _target(k, n)
-    first = params.first if target == params.target else params._levels(target)
-    cell = params._cells(q)
-    half = params.halves[first[cell[:, 0] * params.shape[1] + cell[:, 1]]][:, None]
-    lo, hi = np.maximum(cell - half, 0), np.minimum(cell + half, params.last)
+def scores(params: KnnParams, Xs: np.ndarray) -> np.ndarray:
+    """Weighted positive-class vote of the ``params.k`` nearest training
+    points, for each row of the finite (n, 2) array of standardized
+    features ``Xs``."""
+    rows = np.arange(Xs.shape[0])
+    out = np.empty(Xs.shape[0], dtype=np.float64)
+    # Each row's first window: the square of its cell's half-width.
+    cell = params._cells(Xs)
+    half = params.halves[params.first[cell[:, 0] * params.shape[1] + cell[:, 1]]][:, None]
+    q, lo, hi = Xs, np.maximum(cell - half, 0), np.minimum(cell + half, params.last)
     count = params._held(*lo.T, *hi.T)
     while rows.size:
         again = []
         for part in _chunks(count):
-            score, ok, reach = _round(params, k, q[part], lo[part], hi[part], count[part])
+            score, ok, reach = _round(params, q[part], lo[part], hi[part], count[part])
             out[rows[part][ok]] = score
             if not ok.all():
                 # A row that is not certified goes round again with the

@@ -113,8 +113,8 @@ def from_params(raw: dict, hyperparams: dict) -> LogisticParams:
     return LogisticParams(coef=coef)
 
 
-def scores(params: LogisticParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarray:
+def scores(params: LogisticParams, Xs: np.ndarray) -> np.ndarray:
     """Positive-class probabilities; NaN where a logit overflows, which
-    ``predict_batch`` rejects. No hyperparameter acts on scoring."""
-    z = _logits(params.coef, np.atleast_2d(np.asarray(Xs, dtype=np.float64)))
+    ``predict_batch`` rejects."""
+    z = _logits(params.coef, Xs)
     return _sigmoid(z) + (z - z)  # z - z is +0, or NaN for an infinite z

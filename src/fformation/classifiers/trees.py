@@ -98,9 +98,9 @@ class ForestParams:
     the table and maps are sized from those counts. If they exceed
     ``_CELLS_PER_NODE`` cells a node of the forest, or filling the table
     would walk more than ``_STEPS_PER_NODE`` cells a node (cells times
-    depth), or a threshold is NaN, ``grid``, ``cell`` and ``table`` are
-    None and ``scores`` walks the fused arrays. The table is derived
-    here, like the fused arrays, and never saved.
+    depth), ``grid``, ``cell`` and ``table`` are None and ``scores`` walks
+    the fused arrays. The table is derived here, like the fused arrays, and
+    never saved.
     """
 
     trees: tuple[TreeArrays, ...]
@@ -153,7 +153,7 @@ class ForestParams:
 
 def _lookup(params: ForestParams) -> tuple:
     """``(grid, cell, table)`` of a forest whose other fields are set, or
-    three Nones when a threshold is NaN or the table breaks the cell budget."""
+    three Nones when the table breaks the cell budget."""
     # Each tree's sorted unique thresholds of features 0 and 1. Its table
     # has a row per feature-0 cell and a column per feature-1 cell.
     own = [[np.unique(t.threshold[t.feature == f]) for f in (0, 1)] for t in params.trees]
@@ -162,11 +162,7 @@ def _lookup(params: ForestParams) -> tuple:
     size = np.array([o[0].shape[0] + 1 for o in own]) * width
     n_cells, n_nodes = int(size.sum()), params.value.shape[0]
     n_maps = len(own) * (grid[0].shape[0] + grid[1].shape[0] + 2)
-    if (
-        np.isnan(params.threshold).any()
-        or n_cells + n_maps > _CELLS_PER_NODE * n_nodes
-        or n_cells * params.depth > _STEPS_PER_NODE * n_nodes
-    ):
+    if n_cells + n_maps > _CELLS_PER_NODE * n_nodes or n_cells * params.depth > _STEPS_PER_NODE * n_nodes:
         return None, None, None
     # Each cell's representative: its upper threshold, or NaN, which goes
     # right at every split, for the cell above every threshold.
@@ -446,15 +442,13 @@ def from_params(raw: dict, hyperparams: dict) -> ForestParams:
     return ForestParams(trees=trees)
 
 
-def scores(params: ForestParams, hyperparams: dict, Xs: np.ndarray) -> np.ndarray:
-    """Mean leaf positive-class fraction across the ensemble; no
-    hyperparameter acts on scoring.
+def scores(params: ForestParams, Xs: np.ndarray) -> np.ndarray:
+    """Mean leaf positive-class fraction across the ensemble.
 
     Each row's leaves come from the lookup table, or from the fused walk
     for a forest without one. Leaf values are summed in tree order from
     +0.0, then divided by the tree count.
     """
-    Xs = np.atleast_2d(np.asarray(Xs, dtype=np.float64))
     n_trees = params.roots.shape[0]
     block = max(1, _BLOCK_CELLS // n_trees)
     out = np.empty(Xs.shape[0], dtype=np.float64)

@@ -16,6 +16,7 @@ from typing import Optional, Sequence
 from .characterization import characterize_corpus, format_size_table
 from .classifiers import (
     KIND_ALIASES,
+    TrainingError,
     load_model,
     pairwise_accuracy,
     save_model,
@@ -66,7 +67,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load(args.data, args.format)
     train_frames, test_frames = split_frames(dataset.frames, args.split)
     train_pairs = pairwise_deconstruct(train_frames)
-    model = train(train_pairs, kind=args.kind, seed=args.seed)
+    try:
+        model = train(train_pairs, kind=args.kind, seed=args.seed)
+    except TrainingError as exc:
+        raise TrainingError(f"{args.data}: {exc}") from None
     save_model(model, args.out)
     print(f"train_pairwise_accuracy: {pairwise_accuracy(model, train_pairs):.4f}")
     if test_frames:
@@ -137,8 +141,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     match = [f for f in dataset.frames if f.frame_id == args.frame]
     if not match:
         raise ValidationError(f"{args.data} has no frame with frame_id {args.frame}")
+    svg = render_frame_svg(match[0])
     with open(args.svg, "w", encoding="utf-8") as fh:
-        fh.write(render_frame_svg(match[0]))
+        fh.write(svg)
     return 0
 
 

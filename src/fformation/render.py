@@ -11,7 +11,7 @@ import math
 from typing import Optional, Sequence
 
 from .characterization import SizeStats, group_center
-from .core import Frame, GroupSet
+from .core import Frame, GroupSet, ValidationError
 
 _GROUP_COLORS = (
     "#1b6ca8",
@@ -48,21 +48,33 @@ def _convex_hull(points: list[tuple[float, float]]) -> list[tuple[float, float]]
 
 
 class _WorldToSvg:
-    """Maps world meters (y up) onto an SVG viewport (y down)."""
+    """Maps world meters (y up) onto an SVG viewport (y down); a point it
+    cannot place at finite coordinates raises ValidationError."""
 
-    def __init__(self, xs, ys, width: int, height: int, pad: float):
+    def __init__(self, frame: Frame, width: int, height: int, pad: float):
+        self.frame_id = frame.frame_id
+        xs = [a.x for a in frame.agents]
+        ys = [a.y for a in frame.agents]
         if xs:
             x0, x1 = min(xs) - pad, max(xs) + pad
             y0, y1 = min(ys) - pad, max(ys) + pad
         else:
             x0, x1, y0, y1 = -1.0, 1.0, -1.0, 1.0
         span = max(x1 - x0, y1 - y0, 1e-9)
+        if span == math.inf:
+            raise self._too_wide()
         self.scale = min(width, height) / span
         self.x0 = (x0 + x1) / 2 - width / self.scale / 2
         self.y1 = (y0 + y1) / 2 + height / self.scale / 2
 
+    def _too_wide(self) -> ValidationError:
+        return ValidationError(f"frame {self.frame_id}: coordinates span too wide a range to draw")
+
     def pt(self, x: float, y: float) -> tuple[float, float]:
-        return ((x - self.x0) * self.scale, (self.y1 - y) * self.scale)
+        sx, sy = (x - self.x0) * self.scale, (self.y1 - y) * self.scale
+        if not (math.isfinite(sx) and math.isfinite(sy)):
+            raise self._too_wide()
+        return sx, sy
 
 
 def _fmt(v: float) -> str:
@@ -78,9 +90,7 @@ def render_frame_svg(
     """Render one frame; `groups` defaults to the frame's truth, if any."""
     if groups is None:
         groups = frame.truth if frame.truth is not None else GroupSet()
-    xs = [a.x for a in frame.agents]
-    ys = [a.y for a in frame.agents]
-    world = _WorldToSvg(xs, ys, width, height, pad=1.0)
+    world = _WorldToSvg(frame, width, height, pad=1.0)
     color_of: dict[int, str] = {}
     for gi, g in enumerate(groups.groups):
         for a in g:

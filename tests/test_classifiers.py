@@ -38,6 +38,7 @@ from fformation.classifiers.base import (
     resolve_hyperparams,
     samples_to_arrays,
 )
+from fformation.classifiers.kinds import REGISTRY
 from fformation.core import AgentPose, Frame, PairSample, PairTable, ValidationError
 from fformation.evaluation import majority_baseline
 from fformation.features import pairwise_deconstruct
@@ -368,10 +369,10 @@ def test_knn_matches_oracle_on_random_data():
         labels = rng.integers(0, 2, size=n).astype(np.uint8)
         if len(np.unique(labels)) < 2:
             labels[0] = 1 - labels[0]
-        params = knn_mod.fit(pts, labels, {}, 0)
         k = int(rng.integers(1, n + 1))
+        params = knn_mod.fit(pts, labels, {"k": k}, 0)
         queries = rng.normal(size=(8, 2))
-        got = knn_mod.scores(params, {"k": k}, queries)
+        got = knn_mod.scores(params, queries)
         for qi, q in enumerate(queries):
             want = oracle_knn_score(pts, labels, q, k)
             assert math.isclose(got[qi], want, rel_tol=1e-12, abs_tol=1e-12), (trial, qi)
@@ -385,10 +386,10 @@ def test_knn_matches_oracle_under_heavy_distance_ties():
         n = int(rng.integers(5, 30))
         pts = rng.integers(-2, 3, size=(n, 2)).astype(np.float64)
         labels = rng.integers(0, 2, size=n).astype(np.uint8)
-        params = knn_mod.fit(pts, labels, {}, 0)
         k = int(rng.integers(1, n + 1))
+        params = knn_mod.fit(pts, labels, {"k": k}, 0)
         queries = rng.integers(-2, 3, size=(6, 2)).astype(np.float64)
-        got = knn_mod.scores(params, {"k": k}, queries)
+        got = knn_mod.scores(params, queries)
         for qi, q in enumerate(queries):
             want = oracle_knn_score(pts, labels, q, k)
             assert math.isclose(got[qi], want, rel_tol=1e-12, abs_tol=1e-12), (trial, qi)
@@ -412,7 +413,13 @@ def reference_row_score(d2, labels, k):
         exact = d2_sel == 0.0
         return float(y_sel[exact].mean())
     w = 1.0 / d2_sel
-    return float((w * y_sel).sum() / w.sum())
+    score = (w * y_sel).sum() / w.sum()
+    if not np.isfinite(score):
+        # An inverse too large for floats: the same vote, each weight
+        # scaled by the nearest squared distance.
+        w = d2_sel[0] / d2_sel
+        score = (w * y_sel).sum() / w.sum()
+    return float(score)
 
 
 def brute_force_knn_scores(params, k, Xs):
@@ -434,9 +441,10 @@ def brute_force_knn_scores(params, k, Xs):
 
 
 def assert_grid_matches_brute_force(pts, labels, queries, ks=(1, 3, 10)):
-    params = knn_mod.fit(pts, labels, {}, 0)
+    queries = np.asarray(queries, dtype=np.float64)
     for k in ks:
-        got = knn_mod.scores(params, {"k": k}, queries)
+        params = knn_mod.fit(pts, labels, {"k": k}, 0)
+        got = knn_mod.scores(params, queries)
         want = brute_force_knn_scores(params, k, queries)
         assert np.array_equal(got, want, equal_nan=True), k
 
@@ -456,8 +464,9 @@ def test_knn_grid_matches_brute_force_on_synthetic_corpus():
     own = params.points[rng.choice(len(params.points), size=300, replace=False)]
     queries = np.concatenate([evaluation, own])
     for k in (1, 10, 25):
-        got = knn_mod.scores(params, {"k": k}, queries)
-        assert np.array_equal(got, brute_force_knn_scores(params, k, queries)), k
+        own = params if k == params.k else knn_mod.fit(params.points, params.labels, {"k": k}, 0)
+        got = knn_mod.scores(own, queries)
+        assert np.array_equal(got, brute_force_knn_scores(own, k, queries)), k
 
 
 def test_knn_grid_matches_brute_force_far_outside_the_training_box():
@@ -497,7 +506,7 @@ def test_knn_grid_matches_brute_force_on_cell_edges():
     rng = np.random.default_rng(24)
     pts = rng.integers(-6, 7, size=(3000, 2)).astype(np.float64) * 0.5
     labels = rng.integers(0, 2, size=3000).astype(np.uint8)
-    params = knn_mod.fit(pts, labels, {}, 0)
+    params = knn_mod.fit(pts, labels, {"k": 10}, 0)
     nx, ny = params.shape
     edges_x = params.origin[0] + params.cell * np.arange(nx + 1)
     edges_y = params.origin[1] + params.cell * np.arange(ny + 1)
@@ -514,8 +523,8 @@ def test_knn_grid_counts_underflowing_distances_as_exact_matches():
     s = 2.0**-545
     pts = s * np.array([[4, 0], [3, 1], [0, 8], [8, 0]] + [[8, 8]] * 12, dtype=np.float64)
     labels = np.array([0] + [1] * 15, dtype=np.uint8)
-    query = [[3 * s, 0.0]]
-    assert knn_mod.scores(knn_mod.fit(pts, labels, {}, 0), {"k": 1}, query)[0] == 0.0
+    query = np.array([[3 * s, 0.0]])
+    assert knn_mod.scores(knn_mod.fit(pts, labels, {"k": 1}, 0), query)[0] == 0.0
     assert_grid_matches_brute_force(pts, labels, query, ks=(1, 2, 16))
 
 
@@ -541,7 +550,7 @@ def test_knn_per_frame_calls_match_brute_force(corpus_knn):
     ][:200]
     assert len(batches) == 200
     params, k = corpus_knn.params, corpus_knn.hyperparams["k"]
-    got = np.concatenate([knn_mod.scores(params, {"k": k}, b) for b in batches])
+    got = np.concatenate([knn_mod.scores(params, b) for b in batches])
     assert np.array_equal(got, brute_force_knn_scores(params, k, np.concatenate(batches)))
 
 
@@ -595,9 +604,9 @@ def first_window_counts(params, queries):
 
 def assert_first_windows_match_reference(pts, labels, queries, ks):
     """For each k, the first-window table of every grid cell equals the
-    reference, whether built with the params for k or for a call with
-    another k; and scores equal brute force."""
-    params = knn_mod.fit(pts, labels, {}, 0)
+    reference, whether built with the params for k or derived for k from
+    params built for another k; and scores equal brute force."""
+    params = knn_mod.fit(pts, labels, {"k": 10}, 0)
     halves = params.halves
     assert halves[0] == 0 and halves[-1] >= max(params.shape) - 1
     assert (np.diff(halves) >= 1).all() and (halves[3:] <= 1.5 * halves[2:-1]).all()
@@ -606,11 +615,11 @@ def assert_first_windows_match_reference(pts, labels, queries, ks):
     for k in ks:
         own = knn_mod.fit(pts, labels, {"k": k}, 0)
         target = min(knn_mod._FIRST_WINDOW * min(k, n), n)
-        assert own.target == target and own.shape == params.shape
+        assert own.k == min(k, n) and own.shape == params.shape
         want = reference_first_halves(own, target)
         assert np.array_equal(halves[own.first], want), k
         assert np.array_equal(halves[params._levels(target)], want), k
-        got = knn_mod.scores(own, {"k": k}, queries)
+        got = knn_mod.scores(own, queries)
         assert np.array_equal(got, brute_force_knn_scores(own, k, queries), equal_nan=True), k
     assert_grid_matches_brute_force(pts, labels, queries, ks=ks)
     return params
@@ -619,7 +628,8 @@ def assert_first_windows_match_reference(pts, labels, queries, ks):
 def test_knn_first_window_table_of_a_corpus_model_matches_the_reference(corpus_knn):
     params = corpus_knn.params
     assert params.k == corpus_knn.hyperparams["k"] and params.shape[0] * params.shape[1] > 50_000
-    assert np.array_equal(params.halves[params.first], reference_first_halves(params, params.target))
+    target = knn_mod._FIRST_WINDOW * params.k
+    assert np.array_equal(params.halves[params.first], reference_first_halves(params, target))
 
 
 def _empty_cell_centers(params, count, rng):
@@ -633,7 +643,7 @@ def test_knn_first_window_from_empty_cells_sparse_tails_and_far_outside():
     tails = rng.standard_cauchy(size=(200, 2))
     pts = np.concatenate([rng.normal(scale=0.3, size=(3000, 2)), tails])
     labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
-    params = knn_mod.fit(pts, labels, {}, 0)
+    params = knn_mod.fit(pts, labels, {"k": 10}, 0)
     queries = np.concatenate([
         _empty_cell_centers(params, 60, rng),
         tails[:60] + rng.normal(scale=0.5, size=(60, 2)),
@@ -689,7 +699,7 @@ def test_knn_first_window_on_a_cluster_far_denser_than_the_mean():
     cluster = rng.normal(scale=1e-4, size=(2000, 2)) + center
     pts = np.concatenate([rng.uniform(-10.0, 10.0, size=(5000, 2)), cluster])
     labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
-    params = knn_mod.fit(pts, labels, {}, 0)
+    params = knn_mod.fit(pts, labels, {"k": 10}, 0)
     per_cell = np.diff(params.starts)
     assert per_cell.max() > 100 * len(pts) / per_cell.size
     # The cells stay within a small multiple of the points.
@@ -717,8 +727,58 @@ def test_predict_batch_takes_an_empty_batch_and_a_single_row(kind):
         assert (int(labels[0]), float(scores[0])) == predict(model, 1.5, 0.7)
     if kind == "knn":
         for rows in (np.empty((0, 2)), model.scaling.apply([[1.5, 0.7]])):
-            got = knn_mod.scores(model.params, {"k": 10}, rows)
+            got = knn_mod.scores(model.params, rows)
             assert np.array_equal(got, brute_force_knn_scores(model.params, 10, rows))
+
+
+@pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
+def test_predict_batch_hands_scores_finite_c_ordered_float64_rows(kind, monkeypatch):
+    # The registry contract: a kind's scores takes the rows as predict_batch
+    # built and checked them, and converts or checks nothing itself.
+    model = train(separable_samples(60, seed=3), kind=kind, seed=0)
+    module = REGISTRY[model.kind]
+    real, seen = module.scores, []
+
+    def recording(params, Xs):
+        seen.append((Xs.dtype, Xs.shape, Xs.flags.c_contiguous, bool(np.isfinite(Xs).all())))
+        return real(params, Xs)
+
+    monkeypatch.setattr(module, "scores", recording)
+    rows = [[1.5, 0.7], [0.2, 2.0], [3.0, 0.1]]
+    for batch, n in (
+        (rows, 3),
+        ([1.5, 0.7], 1),
+        ([], 0),
+        (np.asfortranarray(rows), 3),
+        (np.array(rows * 2)[::2], 3),
+        (np.array(rows, dtype=np.float32), 3),
+    ):
+        seen.clear()
+        predict_batch(model, batch)
+        assert seen == [(np.float64, (n, 2), True, True)], batch
+
+
+def test_knn_scores_queries_at_tiny_nonzero_distances():
+    # A squared distance that is not zero but whose inverse is not finite,
+    # or k inverses whose sum is not, used to leave the vote NaN, which
+    # predict_batch rejected. Such rows vote with each weight scaled by the
+    # nearest squared distance; rows at infinite distances still score NaN.
+    identity = FeatureScaling(mean=np.zeros(2), std=np.ones(2))
+    for pts, labels, query, want in (
+        # 1e-160 from a label-1 point: its squared distance is subnormal.
+        ([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [1, 0, 0, 1], [1e-160, 0.0], 1.0),
+        # Three points 1e-154 away: each inverse is about 1e308, their sum inf.
+        ([[1e-154, 0.0], [0.0, 1e-154], [-1e-154, 0.0], [5.0, 5.0]], [1, 1, 0, 0], [0.0, 0.0], 2.0 / 3.0),
+    ):
+        pts, labels = np.array(pts), np.array(labels, dtype=np.uint8)
+        params = knn_mod.fit(pts, labels, {"k": 3}, 0)
+        model = TrainedModel(kind="weighted_knn", scaling=identity, seed=0, hyperparams={"k": 3}, params=params)
+        got_labels, got = predict_batch(model, [query])
+        assert got_labels.tolist() == [1] and got.tolist() == [want]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert np.array_equal(got, brute_force_knn_scores(params, 3, np.array([query])))
+        with pytest.raises(ValueError, match="prediction scores must be finite"):
+            predict_batch(model, [query, [1e200, 0.0]])
 
 
 @pytest.mark.parametrize("kind", ["knn", "trees", "logreg"])
@@ -742,7 +802,7 @@ def test_knn_rows_resolving_in_different_rounds_match_brute_force(monkeypatch):
     blob = rng.normal(scale=0.02, size=(600, 2)) + [1.0, -0.5]
     pts = np.concatenate([rng.normal(size=(3000, 2)), blob])
     labels = rng.integers(0, 2, size=len(pts)).astype(np.uint8)
-    params = knn_mod.fit(pts, labels, {}, 0)
+    params = knn_mod.fit(pts, labels, {"k": 10}, 0)
     densest = np.argmax(np.diff(params.starts))
     corner = params.origin + params.cell * np.array(divmod(densest, params.shape[1]))
     queries = np.concatenate([
@@ -755,8 +815,8 @@ def test_knn_rows_resolving_in_different_rounds_match_brute_force(monkeypatch):
     real_round = knn_mod._round
     rounds = {}  # query row -> [rounds it went through, certified]
 
-    def counting_round(params, k, q, lo, hi, count):
-        score, done, reach = real_round(params, k, q, lo, hi, count)
+    def counting_round(params, q, lo, hi, count):
+        score, done, reach = real_round(params, q, lo, hi, count)
         for row, ok in zip(map(tuple, q), done.tolist()):
             seen = rounds.setdefault(row, [0, False])
             assert not seen[1], row
@@ -767,8 +827,9 @@ def test_knn_rows_resolving_in_different_rounds_match_brute_force(monkeypatch):
     monkeypatch.setattr(knn_mod, "_round", counting_round)
     for k in (1, 10, 30):
         rounds.clear()
-        got = knn_mod.scores(params, {"k": k}, queries)
-        assert np.array_equal(got, brute_force_knn_scores(params, k, queries)), k
+        own = knn_mod.fit(pts, labels, {"k": k}, 0)
+        got = knn_mod.scores(own, queries)
+        assert np.array_equal(got, brute_force_knn_scores(own, k, queries)), k
         # Most rows resolve in the first round, the rest in the second: the
         # square a row's bound reaches certifies it.
         assert len(rounds) == len(queries) and all(ok for _, ok in rounds.values()), k
@@ -780,7 +841,7 @@ def test_knn_batch_of_one_chunk_plus_one_row_matches_brute_force():
     rng = np.random.default_rng(27)
     pts = rng.uniform(-5.0, 5.0, size=(3000, 2))
     labels = rng.integers(0, 2, size=3000).astype(np.uint8)
-    params = knn_mod.fit(pts, labels, {}, 0)
+    params = knn_mod.fit(pts, labels, {"k": 10}, 0)
     # Rows in one cell share its first window, so a chunk holds a fixed
     # number of them.
     cell = np.array(params.shape) // 2
@@ -801,7 +862,7 @@ def test_knn_ties_at_the_kth_distance_straddling_the_first_window():
     side = np.arange(-10, 11, dtype=np.float64)
     pts = np.array([(x, y) for x in side for y in side])
     labels = np.random.default_rng(28).integers(0, 2, size=len(pts)).astype(np.uint8)
-    params = knn_mod.fit(pts, labels, {}, 0)
+    params = knn_mod.fit(pts, labels, {"k": 10}, 0)
     cells = params._cells(pts)
     straddled = 0
     for q in ([0.5, 0.5], [0.0, 0.5], [1.5, -2.5], [-3.0, 2.0]):
@@ -863,12 +924,11 @@ def test_knn_call_of_chunks_with_and_without_kth_ties_matches_brute_force(monkey
         rng.integers(99, 105, size=(200, 2)).astype(np.float64),
     ])
     queries = queries[rng.permutation(len(queries))]
-    params = knn_mod.fit(pts, labels, {}, 0)
     real_round = knn_mod._round
     tied, calls = {}, []
 
-    def recording_round(params, k, q, lo, hi, count):
-        score, done, reach = real_round(params, k, q, lo, hi, count)
+    def recording_round(params, q, lo, hi, count):
+        score, done, reach = real_round(params, q, lo, hi, count)
         if done.any():
             calls.append(any(tied[row] for row in map(tuple, q[done])))
         return score, done, reach
@@ -878,7 +938,8 @@ def test_knn_call_of_chunks_with_and_without_kth_ties_matches_brute_force(monkey
         tied.clear()
         tied.update(zip(map(tuple, queries), kth_ties(pts, queries, k)[0].tolist()))
         calls.clear()
-        got = knn_mod.scores(params, {"k": k}, queries)
+        params = knn_mod.fit(pts, labels, {"k": k}, 0)
+        got = knn_mod.scores(params, queries)
         assert np.array_equal(got, brute_force_knn_scores(params, k, queries)), k
         assert any(calls) and not all(calls), (k, calls)
 
@@ -896,16 +957,19 @@ def test_knn_conflicting_duplicates_score_the_mean_of_their_labels():
     assert_grid_matches_brute_force(pts, labels, queries, ks=(1, 3, 10))
     means = np.array([labels[(pts == s).all(axis=1)].mean() for s in spots])
     assert ((means > 0.0) & (means < 1.0)).any()
-    assert np.array_equal(knn_mod.scores(knn_mod.fit(pts, labels, {}, 0), {"k": 10}, spots), means)
+    assert np.array_equal(knn_mod.scores(knn_mod.fit(pts, labels, {"k": 10}, 0), spots), means)
 
 
 def test_knn_scores_non_finite_rows_as_nan():
     rng = np.random.default_rng(30)
-    params = knn_mod.fit(rng.normal(size=(200, 2)), rng.integers(0, 2, size=200).astype(np.uint8), {}, 0)
+    params = knn_mod.fit(rng.normal(size=(200, 2)), rng.integers(0, 2, size=200).astype(np.uint8), {"k": 10}, 0)
     rows = np.array([[0.1, 0.2], [np.nan, 0.0], [0.0, np.inf], [-0.3, 0.5]])
-    got = knn_mod.scores(params, {"k": 10}, rows)
-    assert np.isnan(got[1:3]).all()
-    assert np.array_equal(got[[0, 3]], brute_force_knn_scores(params, 10, rows[[0, 3]]))
+    # Outside the contract of finite rows: a vote over NaN or infinite
+    # distances, which divides 0 by 0.
+    with np.errstate(all="ignore"):
+        got = knn_mod.scores(params, rows)
+        assert np.isnan(got[1:3]).all()
+        assert np.array_equal(got[[0, 3]], brute_force_knn_scores(params, 10, rows[[0, 3]]))
 
 
 def test_knn_rows_of_infinite_distances_beside_padded_windows(monkeypatch):
@@ -920,21 +984,21 @@ def test_knn_rows_of_infinite_distances_beside_padded_windows(monkeypatch):
     queries = np.concatenate([rng.uniform(0.0, 1.0, size=(40, 2)), np.full((3, 2), 0.5), far])
     queries = queries[rng.permutation(len(queries))]
     is_far = np.abs(queries).max(axis=1) > 1.0
-    params = knn_mod.fit(pts, labels, {}, 0)
     real_round = knn_mod._round
     padded = []
 
-    def recording_round(params, k, q, lo, hi, count):
+    def recording_round(params, q, lo, hi, count):
         at = np.abs(q).max(axis=1) > 1.0
         padded.append(at.any() and not at.all() and (count[at] < count.max()).any())
-        return real_round(params, k, q, lo, hi, count)
+        return real_round(params, q, lo, hi, count)
 
     monkeypatch.setattr(knn_mod, "_round", recording_round)
     for k in (1, 3, 10):
         padded.clear()
+        params = knn_mod.fit(pts, labels, {"k": k}, 0)
         with np.errstate(all="ignore"):
-            got = knn_mod.scores(params, {"k": k}, queries)
-            alone = knn_mod.scores(params, {"k": k}, queries[~is_far])
+            got = knn_mod.scores(params, queries)
+            alone = knn_mod.scores(params, queries[~is_far])
         assert any(padded), k
         assert np.isnan(got[is_far]).all(), k
         assert np.array_equal(got[~is_far], brute_force_knn_scores(params, k, queries[~is_far])), k
@@ -956,9 +1020,9 @@ def test_knn_self_accuracy_is_below_one_with_conflicting_duplicates():
 def test_knn_exact_match_dominates():
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0]])
     labels = np.array([1, 0, 0], dtype=np.uint8)
-    params = knn_mod.fit(pts, labels, {}, 0)
+    params = knn_mod.fit(pts, labels, {"k": 3}, 0)
     # Two exact matches with opposite labels average to 0.5.
-    assert knn_mod.scores(params, {"k": 3}, [[0.0, 0.0]])[0] == 0.5
+    assert knn_mod.scores(params, np.zeros((1, 2)))[0] == 0.5
 
 
 def test_knn_k1_memorizes_distinct_training_set():
@@ -1418,8 +1482,9 @@ def assert_fused_matches_reference(params, queries):
     """The scores of ``params``, by its table if it has one, and by the
     fused walk, have the reference's bits."""
     want = reference_forest_scores(params, queries)
-    assert same_bits(trees_mod.scores(params, {}, queries), want)
-    assert same_bits(trees_mod.scores(walking_forest(params), {}, queries), want)
+    queries = np.asarray(queries, dtype=np.float64)
+    assert same_bits(trees_mod.scores(params, queries), want)
+    assert same_bits(trees_mod.scores(walking_forest(params), queries), want)
 
 
 def table_cells(trees):
@@ -1473,7 +1538,7 @@ def test_fused_forest_matches_reference_on_synthetic_corpus(corpus_frames):
 def test_fused_forest_sends_queries_on_a_threshold_left():
     stump = _tree([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, 1.0, 0.0])
     params = trees_mod.ForestParams(trees=(stump,))
-    assert trees_mod.scores(params, {}, [[0.5, 9.0], [np.nextafter(0.5, 1.0), 9.0]]).tolist() == [1.0, 0.0]
+    assert trees_mod.scores(params, np.array([[0.5, 9.0], [np.nextafter(0.5, 1.0), 9.0]])).tolist() == [1.0, 0.0]
 
     model = train(separable_samples(300, seed=14), kind="trees", seed=2)
     rng = np.random.default_rng(14)
@@ -1522,7 +1587,7 @@ def test_fused_forest_matches_reference_on_hand_built_trees():
         assert params.depth == depth and params.table is not None
         assert_fused_matches_reference(params, grid)
         assert_fused_matches_reference(params, np.concatenate([grid, SPECIAL_ROWS]))
-    assert trees_mod.scores(trees_mod.ForestParams(trees=(leaf_root,)), {}, grid).tolist() == [0.25] * len(grid)
+    assert trees_mod.scores(trees_mod.ForestParams(trees=(leaf_root,)), grid).tolist() == [0.25] * len(grid)
     # Values whose sum depends on the order of the additions, one row at a
     # time as well as in a batch.
     values = np.random.default_rng(18).random(30)
@@ -1542,7 +1607,7 @@ def test_fused_forest_sums_negative_zero_leaves_from_positive_zero():
     rows = np.array([[-1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [-0.0, -0.0]])
     for trees in ((neg,), (neg, neg, neg), (neg, stump), (stump, neg, neg)):
         params = trees_mod.ForestParams(trees=trees)
-        got = trees_mod.scores(params, {}, rows)
+        got = trees_mod.scores(params, rows)
         assert_fused_matches_reference(params, rows)
         assert_fused_matches_reference(params, SPECIAL_ROWS)
     assert not np.signbit(got).any()
@@ -1568,7 +1633,7 @@ def test_fused_forest_survives_the_model_document():
     clone = model_from_dict(json.loads(json.dumps(model_to_dict(model))))
     queries = np.random.default_rng(17).normal(size=(2000, 2)) * 2.0
     assert_fused_matches_reference(clone.params, queries)
-    assert same_bits(trees_mod.scores(clone.params, {}, queries), trees_mod.scores(model.params, {}, queries))
+    assert same_bits(trees_mod.scores(clone.params, queries), trees_mod.scores(model.params, queries))
     assert clone.params.depth == model.params.depth
     # The document holds no table; loading derives the same one.
     assert "table" not in json.dumps(model_to_dict(model))
@@ -1611,8 +1676,8 @@ def test_forest_table_matches_reference_at_every_threshold_and_its_neighbours():
         assert len(rows) > 1000
         assert_fused_matches_reference(params, rows)
         # One row at a time, as per-frame calls score.
-        for row in rows[:: max(1, len(rows) // 200)]:
-            assert same_bits(trees_mod.scores(params, {}, row), reference_forest_scores(params, row))
+        for row in rows[:: max(1, len(rows) // 200), None]:
+            assert same_bits(trees_mod.scores(params, row), reference_forest_scores(params, row))
 
 
 def test_forest_table_with_infinite_and_signed_zero_thresholds():
@@ -1627,17 +1692,8 @@ def test_forest_table_with_infinite_and_signed_zero_thresholds():
         params = trees_mod.ForestParams(trees=trees)
         assert params.table is not None
         assert_fused_matches_reference(params, _threshold_rows(params))
-    got = trees_mod.scores(trees_mod.ForestParams(trees=(at_inf,)), {}, [[np.inf, 0.0], [np.nan, 0.0]])
+    got = trees_mod.scores(trees_mod.ForestParams(trees=(at_inf,)), np.array([[np.inf, 0.0], [np.nan, 0.0]]))
     assert got.tolist() == [0.25, 1.0]
-
-
-def test_forest_with_a_nan_threshold_walks():
-    # x <= NaN is false for every x, which no cell of a sorted grid says.
-    nan_stump = _tree([0, -1, -1], [np.nan, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.5, 1.0, 0.0])
-    params = trees_mod.ForestParams(trees=(nan_stump,))
-    assert params.table is None and params.grid is None and params.cell is None
-    assert_fused_matches_reference(params, SPECIAL_ROWS)
-    assert trees_mod.scores(params, {}, SPECIAL_ROWS).tolist() == [0.0] * len(SPECIAL_ROWS)
 
 
 def _level_tree(depth, feature_of_level, thresholds):
@@ -1679,7 +1735,7 @@ def test_forest_just_over_the_cell_budget_walks_and_matches():
     rows = np.concatenate([np.random.default_rng(21).normal(size=(3000, 2)) * 3.0, SPECIAL_ROWS])
     assert_fused_matches_reference(under, rows)
     assert_fused_matches_reference(over, rows)
-    assert same_bits(trees_mod.scores(over, {}, rows), reference_forest_scores(over, rows))
+    assert same_bits(trees_mod.scores(over, rows), reference_forest_scores(over, rows))
 
 
 def _chain_document(splits, feature_of_split):
@@ -1733,7 +1789,7 @@ def test_forest_chain_document_loads_without_a_table(splits, feature_of_split):
     assert peak < 400 * (2 * splits + 1), peak
     assert seconds < 30.0, seconds
     rows = np.concatenate([np.random.default_rng(23).normal(size=(200, 2)) * 40.0, SPECIAL_ROWS])
-    got = trees_mod.scores(model.params, {}, rows)
+    got = trees_mod.scores(model.params, rows)
     assert same_bits(got, reference_forest_scores(model.params, rows))
 
 
@@ -1761,7 +1817,7 @@ def test_trees_document_with_a_node_of_two_parents_is_rejected():
     tree["left"][5] = 10
     model = model_from_dict(doc)
     assert model.params.depth == 4
-    assert trees_mod.scores(model.params, {}, np.array([[-0.5, -1.0]])).tolist() == [0.8]
+    assert trees_mod.scores(model.params, np.array([[-0.5, -1.0]])).tolist() == [0.8]
 
 
 # ---------------------------------------------------------------- logreg
@@ -1810,7 +1866,7 @@ def test_logreg_sigmoid_matches_the_masked_form_bit_for_bit():
 
 def test_logreg_zero_weights_score_half():
     params = logreg_mod.LogisticParams(coef=np.zeros(3))
-    assert logreg_mod.scores(params, {}, [[3.0, 1.0]])[0] == 0.5
+    assert logreg_mod.scores(params, np.array([[3.0, 1.0]]))[0] == 0.5
 
 
 def test_logreg_learns_separable_data_and_is_deterministic():
@@ -2037,7 +2093,7 @@ def test_logreg_scores_of_finite_logits_are_the_sigmoid_bit_for_bit():
     for coef in (np.array([0.3, -4.0, 2.5]), np.array([-14.2, -11.6, -4.1]), np.array([5.0, 20.0, 0.0])):
         params = logreg_mod.LogisticParams(coef=coef)
         want = logreg_mod._sigmoid(coef[0] + Xs @ coef[1:])
-        got = logreg_mod.scores(params, {}, Xs)
+        got = logreg_mod.scores(params, Xs)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert {0.0, 1.0} <= set(got.tolist())
 
@@ -2182,7 +2238,7 @@ def test_logreg_document_with_a_learning_rate_loads_and_predicts_from_its_coef()
     model = model_from_dict(json.loads(json.dumps(doc)))
     assert model.hyperparams["learning_rate"] == 0.1
     q = np.random.default_rng(4).uniform(0, 7, size=(300, 2))
-    want = logreg_mod.scores(logreg_mod.LogisticParams(coef=np.array(coef)), {}, model.scaling.apply(q))
+    want = logreg_mod.scores(logreg_mod.LogisticParams(coef=np.array(coef)), model.scaling.apply(q))
     assert np.array_equal(predict_batch(model, q)[1], want)
 
 

@@ -525,6 +525,10 @@ FAULTS = {
 }
 
 
+# The faults whose training features have a mean or std that overflows.
+STD_OVERFLOWS = {"x-1.7e308", "scaled-1e300"}
+
+
 @pytest.mark.parametrize("fault", FAULTS)
 def test_a_file_that_loads_never_crashes_a_command(tmp_path, corpus, capsys, fault):
     # Every command on a mutated file exits 0, or exits 1 with one error
@@ -535,6 +539,8 @@ def test_a_file_that_loads_never_crashes_a_command(tmp_path, corpus, capsys, fau
     data.write_text(json.dumps(doc), encoding="utf-8")
     load_canonical(data)
 
+    errors = []
+
     def run(*argv):
         capsys.readouterr()
         with warnings.catch_warnings():
@@ -544,15 +550,33 @@ def test_a_file_that_loads_never_crashes_a_command(tmp_path, corpus, capsys, fau
         assert status in (0, 1) and "Traceback" not in err and "RuntimeWarning" not in err
         if status:
             assert err.startswith("error: ") and err.count("\n") == 1
+        errors.append(err)
         return status
 
     kinds = ("knn", "trees", "logreg")
     for kind in kinds:
         assert main(["train", "--data", str(corpus), "--kind", kind, "--out", str(tmp_path / f"{kind}.json")]) == 0
-        run("train", "--data", str(data), "--kind", kind, "--out", str(tmp_path / f"fault-{kind}.json"))
+        status = run("train", "--data", str(data), "--kind", kind, "--out", str(tmp_path / f"fault-{kind}.json"))
+        # Features whose std overflows fault no one pair: the error names
+        # the file.
+        assert (fault in STD_OVERFLOWS) == (status == 1 and errors[-1].startswith(f"error: {data}: feature "))
         detected = tmp_path / f"detected-{kind}.json"
         if run("detect", "--model", str(tmp_path / f"{kind}.json"), "--data", str(data), "--out", str(detected)) == 0:
             assert run("evaluate", "--detections", str(detected), "--truth", str(data)) == 0
             run("characterize", "--data", str(detected), "--use", "detections")
     assert run("evaluate", "--detections", str(data), "--truth", str(data), "--matching", "exact") == 0
     run("characterize", "--data", str(data), "--svg", str(tmp_path / "sizes.svg"))
+    # The mutated frame draws with finite coordinates, or is an error line
+    # naming it, and no file is written.
+    frame_id, scene = doc["frames"][2]["frame_id"], tmp_path / "scene.svg"
+    if run("render", "--data", str(data), "--frame", str(frame_id), "--svg", str(scene)):
+        assert errors[-1].startswith(f"error: frame {frame_id}: ") and not scene.exists()
+    else:
+        svg = scene.read_text(encoding="utf-8")
+        assert "nan" not in svg and "inf" not in svg
+    # synth on the file, which loads as JSON but is no config, is an error
+    # line; on the corpus's own config it writes the corpus again.
+    assert run("synth", "--config", str(data), "--out", str(tmp_path / "no-corpus.json")) == 1
+    again = tmp_path / "again.json"
+    assert run("synth", "--config", str(tmp_path / "config.json"), "--out", str(again)) == 0
+    assert again.read_bytes() == corpus.read_bytes()

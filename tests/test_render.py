@@ -3,8 +3,10 @@
 import math
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from fformation.characterization import SizeStats, characterize_corpus
-from fformation.core import AgentPose, Frame, GroupSet
+from fformation.core import AgentPose, Frame, GroupSet, ValidationError
 from fformation.render import render_frame_svg, render_size_chart_svg
 
 
@@ -57,6 +59,29 @@ def test_two_member_hull_is_open_segment():
     svg = render_frame_svg(frame)
     hull_line = next(line for line in svg.splitlines() if "group-hull" in line)
     assert " Z" not in hull_line
+
+
+@pytest.mark.parametrize("positions, groups", [
+    # Their span overflows.
+    (((1e308, 0.0), (-1e308, 0.0)), []),
+    # The axes through the origin lie beyond any finite position.
+    (((-1.7e308, -1.7e308),), []),
+    # Their group's centroid overflows.
+    (((1.7e308, 0.0), (1.7e308, 1.0)), [[1, 2]]),
+])
+def test_a_frame_too_wide_to_draw_names_the_frame(positions, groups):
+    agents = tuple(AgentPose.make(i + 1, x, y, 0.0) for i, (x, y) in enumerate(positions))
+    frame = Frame(frame_id=7, agents=agents, truth=GroupSet.from_iterable(groups))
+    with pytest.raises(ValidationError, match="^frame 7: coordinates span too wide a range to draw$"):
+        render_frame_svg(frame)
+
+
+def test_frames_far_out_but_drawable_render_finite_coordinates():
+    for positions in (((0.0, 0.0), (1.7e308, 0.0)), ((1e300, 0.0), (2e300, 1e300)), ((5e-324, 0.0), (0.0, 5e-324))):
+        agents = tuple(AgentPose.make(i + 1, x, y, 0.0) for i, (x, y) in enumerate(positions))
+        svg = render_frame_svg(Frame(frame_id=7, agents=agents, truth=GroupSet.from_iterable([[1, 2]])))
+        assert "nan" not in svg and "inf" not in svg
+        ET.fromstring(svg)
 
 
 def test_explicit_groups_override_truth():
